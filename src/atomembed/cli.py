@@ -38,7 +38,7 @@ from .families import (
     realize,
     uniform_family,
 )
-from .flatness import classify, dimension, is_flat
+from .flatness import classify, is_flat
 from .gram import (
     GramError,
     det_closed_form,
@@ -162,14 +162,14 @@ def _cmd_det(args) -> int:
     return 2 if sign == "boundary" else 0
 
 
-def _report_json(m, report) -> dict:
+def _report_json(report) -> dict:
     return {
         "flat": report.flat,
         "witness": list(report.witness) if report.witness else None,
         "checked_count": report.checked_count,
         "boundary": [list(s) for s in report.boundary],
         "mode": report.mode,
-        "dimension": dimension(m, report),
+        "dimension": report.dimension,
         "subset_values": {
             _subset_key(s): scalar_to_json(v)
             for s, v in report.subset_values.items()
@@ -180,11 +180,10 @@ def _report_json(m, report) -> dict:
 def _cmd_check(args) -> int:
     m = _load(args.measure, args)
     report = is_flat(m, full_set_only=args.full_set_only)
-    cls = classify(m, full_set_only=args.full_set_only)
-    doc = _report_json(m, report)
-    doc["verdict"] = cls.verdict
+    doc = _report_json(report)
+    doc["verdict"] = report.classification.verdict
     _emit_json(doc, args.out)
-    return 2 if cls.verdict == "indeterminate" else 0
+    return 2 if doc["verdict"] == "indeterminate" else 0
 
 
 def _cmd_classify(args) -> int:

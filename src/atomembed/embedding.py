@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .flatness import dimension, is_flat
+from .flatness import is_flat
 from .gram import gram_matrix
 from .measure import DistanceMatrix, Measure, atom_metric
 
@@ -119,7 +119,3 @@ def embed(m: Measure, isometry_tol: float = ISOMETRY_TOL) -> EmbeddingResult:
         base=0,
     )
 
-
-def spectral_matches_combinatorial(m: Measure, result: EmbeddingResult) -> bool:
-    """Cross-check: spectral rank equals the subset-based dimension."""
-    return result.dimension == dimension(m)

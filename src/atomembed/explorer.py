@@ -16,7 +16,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .flatness import Classification, classify, is_flat
+from .flatness import classify, is_flat
 from .gram import reduced_criterion
 from .measure import Measure, MeasureError, validate_measure
 from .scalars import FLOAT, Scalar
@@ -64,7 +64,7 @@ def sweep(grid: Sequence[Tuple[Scalar, Measure]],
     for value, measure in grid:
         try:
             report = is_flat(measure, full_set_only=full_set_only)
-            cls = _classification_from_report(measure, report, full_set_only)
+            cls = report.classification
             worst_sub, worst_val = _worst_subset(report)
             rows.append(SweepRow(parameter=value, verdict=cls.letter,
                                  worst_value=worst_val, witness=worst_sub,
@@ -74,21 +74,6 @@ def sweep(grid: Sequence[Tuple[Scalar, Measure]],
                                  worst_value=None, witness=None,
                                  reason=str(exc)))
     return rows
-
-
-def _classification_from_report(measure, report, full_set_only) -> Classification:
-    # classify() recomputes the report; reuse the one already built
-    from .flatness import dimension
-
-    if not report.flat:
-        return Classification(verdict="not_embeddable", witness=report.witness)
-    if report.boundary:
-        return Classification(
-            verdict="indeterminate",
-            reason=f"criterion for subset {report.boundary[0]} inside the "
-                   "float boundary margin")
-    return Classification(verdict="embeddable",
-                          dimension=dimension(measure, report))
 
 
 # -- boundary bisection --------------------------------------------------------
@@ -238,9 +223,9 @@ def _sample_chunk(args) -> List[SampleRow]:
         weights = _sample_weights(seed, k, index)
         measure = Measure(weights=weights, mode=FLOAT, normalized=True)
         report = is_flat(measure)
-        cls = _classification_from_report(measure, report, False)
         _, worst = _worst_subset(report)
-        rows.append(SampleRow(index=index, weights=weights, verdict=cls.letter,
+        rows.append(SampleRow(index=index, weights=weights,
+                              verdict=report.classification.letter,
                               worst_value=None if worst is None else float(worst)))
     return rows
 

@@ -15,8 +15,9 @@ from typing import List, Optional, Sequence, Tuple
 from .measure import Measure, validate_measure
 from .scalars import Scalar, parse_scalar
 
-#: Largest supported number of Bernoulli trials; the subset sweep is
-#: exponential in the atom count anyway, so bigger families are pointless.
+#: Largest supported number of Bernoulli trials, i.e. 65 atoms.  Only
+#: ``family`` and ``det`` are practical at that size: the subset sweep behind
+#: classification is exponential in the atom count and never finishes there.
 MAX_TRIALS = 64
 
 

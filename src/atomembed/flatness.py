@@ -16,28 +16,9 @@ from typing import Dict, Iterator, Optional, Tuple
 
 import numpy as np
 
-from .gram import cone_criterion, criterion_scale, reduced_criterion
+from .gram import cone_criterion, criterion_scale, reduced_criterion, sign_verdict
 from .measure import AtomSubset, Measure
-from .scalars import BOUNDARY_MARGIN, EXACT, Scalar
-
-
-@dataclass(frozen=True)
-class FlatnessReport:
-    """Outcome of the subset sweep.
-
-    ``witness`` is the first failing subset in (size, lexicographic) order,
-    or None when the measure is flat.  ``subset_values`` maps every checked
-    subset to its criterion value in the same deterministic order;
-    ``boundary`` lists float-mode subsets whose value was too close to zero
-    to trust the sign.
-    """
-
-    flat: bool
-    witness: Optional[AtomSubset]
-    subset_values: Dict[AtomSubset, Scalar]
-    checked_count: int
-    boundary: Tuple[AtomSubset, ...]
-    mode: str
+from .scalars import FLOAT, Scalar
 
 
 @dataclass(frozen=True)
@@ -59,6 +40,41 @@ class Classification:
         return {"embeddable": "E", "not_embeddable": "N", "indeterminate": "I"}[self.verdict]
 
 
+@dataclass(frozen=True)
+class FlatnessReport:
+    """Outcome of the subset sweep.
+
+    ``witness`` is the first failing subset in (size, lexicographic) order,
+    or None when the measure is flat.  ``subset_values`` maps every checked
+    subset to its criterion value in the same deterministic order;
+    ``boundary`` lists float-mode subsets whose value was too close to zero
+    to trust the sign.  ``dimension`` is the largest n such that some
+    checked (n+1)-subset is strictly positive, at least min(k, 2).
+    """
+
+    flat: bool
+    witness: Optional[AtomSubset]
+    subset_values: Dict[AtomSubset, Scalar]
+    checked_count: int
+    boundary: Tuple[AtomSubset, ...]
+    mode: str
+    dimension: int
+
+    @property
+    def classification(self) -> Classification:
+        """The verdict: a failing subset wins over boundary subsets."""
+        if not self.flat:
+            return Classification(verdict="not_embeddable", witness=self.witness)
+        if self.boundary:
+            return Classification(
+                verdict="indeterminate",
+                reason=f"criterion value for subset {self.boundary[0]} lies inside "
+                       f"the float boundary margin; supply rational weights for "
+                       f"an exact verdict",
+            )
+        return Classification(verdict="embeddable", dimension=self.dimension)
+
+
 def checked_subsets(size: int, full_set_only: bool = False) -> Iterator[AtomSubset]:
     """Subsets of >= 4 atoms in (size, lexicographic) order.
 
@@ -77,26 +93,26 @@ def is_flat(m: Measure, full_set_only: bool = False) -> FlatnessReport:
     """Check every atom subset of size >= 4 and report the verdict.
 
     Pairs and triples are flat unconditionally, so a measure on two or three
-    atoms is flat with nothing checked.  Exact mode decides signs exactly;
-    float mode treats values within the boundary margin as unresolved.
+    atoms is flat with nothing checked.  Each subset's sign is decided once,
+    by :func:`sign_verdict`: exactly in exact mode, with the boundary margin
+    in float mode.
     """
     values: Dict[AtomSubset, Scalar] = {}
     witness: Optional[AtomSubset] = None
     boundary = []
+    dim = min(m.size - 1, 2)
     for sub in checked_subsets(m.size, full_set_only):
-        value = reduced_criterion(m.subset_weights(sub))
+        xs = m.subset_weights(sub)
+        value = reduced_criterion(xs)
         values[sub] = value
-        if m.mode == EXACT:
-            failed = value < 0
-        else:
-            margin = BOUNDARY_MARGIN * criterion_scale(m.subset_weights(sub))
-            if abs(float(value)) <= margin:
-                boundary.append(sub)
-                failed = False
-            else:
-                failed = value < 0
-        if failed and witness is None:
-            witness = sub
+        scale = criterion_scale(xs) if m.mode == FLOAT else 0.0
+        sign = sign_verdict(value, scale, m.mode)
+        if sign == "boundary":
+            boundary.append(sub)
+        elif sign == "negative":
+            witness = witness or sub
+        elif sign == "positive":
+            dim = max(dim, len(sub) - 1)
     return FlatnessReport(
         flat=witness is None,
         witness=witness,
@@ -104,6 +120,7 @@ def is_flat(m: Measure, full_set_only: bool = False) -> FlatnessReport:
         checked_count=len(values),
         boundary=tuple(boundary),
         mode=m.mode,
+        dimension=dim,
     )
 
 
@@ -114,18 +131,7 @@ def dimension(m: Measure, report: Optional[FlatnessReport] = None) -> int:
     least min(k, 2).  For measures that are not flat the number is still
     reported, but it no longer bounds an embedding dimension.
     """
-    if m.size == 2:
-        return 1
-    best = 2
-    report = report if report is not None else is_flat(m)
-    for sub, value in report.subset_values.items():
-        if m.mode == EXACT:
-            positive = value > 0
-        else:
-            positive = float(value) > BOUNDARY_MARGIN * criterion_scale(m.subset_weights(sub))
-        if positive:
-            best = max(best, len(sub) - 1)
-    return best
+    return (report if report is not None else is_flat(m)).dimension
 
 
 def classify(m: Measure, full_set_only: bool = False) -> Classification:
@@ -136,17 +142,7 @@ def classify(m: Measure, full_set_only: bool = False) -> Classification:
     failure candidate sits inside the boundary margin come back indeterminate
     since no exact recomputation is possible for float data.
     """
-    report = is_flat(m, full_set_only=full_set_only)
-    if not report.flat:
-        return Classification(verdict="not_embeddable", witness=report.witness)
-    if report.boundary:
-        first = report.boundary[0]
-        return Classification(
-            verdict="indeterminate",
-            reason=f"criterion value for subset {first} lies inside the float "
-                   f"boundary margin; supply rational weights for an exact verdict",
-        )
-    return Classification(verdict="embeddable", dimension=dimension(m, report))
+    return is_flat(m, full_set_only=full_set_only).classification
 
 
 # -- reciprocal-space cone cross-check ----------------------------------------

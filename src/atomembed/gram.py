@@ -236,14 +236,18 @@ def appendix_decomposition(xs: Sequence[Scalar]) -> AppendixDecomposition:
     for xi in tail:
         sq *= xi * xi
     det_a = -(2 ** n) * sq * (n - 1)
-    adj_a = tuple(
-        tuple(
-            (2 ** (n - 1)) * sq * (one / (tail[i] * tail[j])
-                                   - ((n - 1) / (tail[i] * tail[i]) if i == j else zero))
-            for j in range(n)
+    try:
+        adj_a = tuple(
+            tuple(
+                (2 ** (n - 1)) * sq * (one / (tail[i] * tail[j])
+                                       - ((n - 1) / (tail[i] * tail[i]) if i == j else zero))
+                for j in range(n)
+            )
+            for i in range(n)
         )
-        for i in range(n)
-    )
+    except ZeroDivisionError as exc:  # a float product of weights underflowed to 0
+        raise GramError(f"the rank-one route underflows in double precision for "
+                        f"weights {xs}; supply rational weights") from exc
     return AppendixDecomposition(a=a, v=v, det_a=det_a, adj_a=adj_a)
 
 
@@ -316,57 +320,57 @@ def _det_closed_float(xs: Tuple[float, ...], n: int) -> float:
     return bracket * scale
 
 
+def _power_sums(zs, exact: bool):
+    """(sum z, sum z^2): exact over Fractions, correctly rounded over floats."""
+    if exact:
+        return sum(zs, Fraction(0)), sum((z * z for z in zs), Fraction(0))
+    return math.fsum(zs), math.fsum(z * z for z in zs)
+
+
+def _reciprocals(xs, exact: bool):
+    if exact:
+        return [Fraction(1) / x for x in xs]
+    return [1.0 / float(x) for x in xs]
+
+
+def _cone(zs, exact: bool) -> Scalar:
+    s1, s2 = _power_sums(zs, exact)
+    return s1 * s1 - (len(zs) - 2) * s2
+
+
 def reduced_criterion(xs: Sequence[Scalar]) -> Scalar:
     """(sum 1/x_a)^2 - (n-1) sum 1/x_a^2, sign-equivalent to the determinant.
 
-    Scale-free up to a positive factor: multiplying all weights by c divides
-    the value by c^2, so the sign is invariant.
+    This is :func:`cone_criterion` at the reciprocals z = 1/x.  Scale-free up
+    to a positive factor: multiplying all weights by c divides the value by
+    c^2, so the sign is invariant.
     """
     xs = tuple(xs)
-    n = len(xs) - 1
-    if n < 2:
+    if len(xs) < 3:
         raise GramError("the reduced criterion needs at least three weights")
     _check_positive(xs)
-    if infer_mode(xs) == EXACT:
-        s1 = sum(Fraction(1) / x for x in xs)
-        s2 = sum(Fraction(1) / (x * x) for x in xs)
-        return s1 * s1 - (n - 1) * s2
-    recip = [1.0 / float(x) for x in xs]
-    s1 = math.fsum(recip)
-    s2 = math.fsum(r * r for r in recip)
-    return s1 * s1 - (n - 1) * s2
+    exact = infer_mode(xs) == EXACT
+    return _cone(_reciprocals(xs, exact), exact)
 
 
 def cone_criterion(zs: Sequence[Scalar]) -> Scalar:
     """(sum z_a)^2 - (n-1) sum z_a^2 on reciprocal coordinates z = 1/x.
 
-    Identical to :func:`reduced_criterion` evaluated at the componentwise
-    reciprocals; exposed separately because the reciprocal image is where the
-    region becomes a solid cone.
+    The reciprocal image is where the flat region becomes a solid cone.
     """
     zs = tuple(zs)
-    n = len(zs) - 1
-    if n < 2:
+    if len(zs) < 3:
         raise GramError("the cone criterion needs at least three coordinates")
     _check_positive(zs)
-    if infer_mode(zs) == EXACT:
-        s1 = sum(zs, Fraction(0))
-        s2 = sum((z * z for z in zs), Fraction(0))
-        return s1 * s1 - (n - 1) * s2
-    zf = [float(z) for z in zs]
-    s1 = math.fsum(zf)
-    s2 = math.fsum(z * z for z in zf)
-    return s1 * s1 - (n - 1) * s2
+    exact = infer_mode(zs) == EXACT
+    return _cone(zs if exact else [float(z) for z in zs], exact)
 
 
 def criterion_scale(xs: Sequence[Scalar]) -> float:
     """Natural magnitude of the reduced criterion before cancellation."""
     xs = tuple(xs)
-    n = len(xs) - 1
-    recip = [1.0 / float(x) for x in xs]
-    s1 = math.fsum(recip)
-    s2 = math.fsum(r * r for r in recip)
-    return s1 * s1 + abs(n - 1) * s2
+    s1, s2 = _power_sums(_reciprocals(xs, False), False)
+    return s1 * s1 + abs(len(xs) - 2) * s2
 
 
 def sign_verdict(value: Scalar, scale: float, mode: str) -> str:
@@ -375,6 +379,8 @@ def sign_verdict(value: Scalar, scale: float, mode: str) -> str:
     Exact values report "positive" / "negative" / "zero"; float values whose
     magnitude is below BOUNDARY_MARGIN times the expression scale report
     "boundary" because the true sign is not resolvable at double precision.
+    A non-finite float value (overflowed reciprocal sums) carries no sign
+    and is "boundary" too.
     """
     if mode == EXACT:
         if value > 0:
@@ -382,6 +388,6 @@ def sign_verdict(value: Scalar, scale: float, mode: str) -> str:
         if value < 0:
             return "negative"
         return "zero"
-    if abs(float(value)) <= BOUNDARY_MARGIN * scale:
+    if not math.isfinite(value) or abs(float(value)) <= BOUNDARY_MARGIN * scale:
         return "boundary"
     return "positive" if value > 0 else "negative"

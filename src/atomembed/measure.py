@@ -9,6 +9,7 @@ the powerset algebra are at the measure of their symmetric difference.
 from __future__ import annotations
 
 import json
+import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -81,7 +82,7 @@ def validate_measure(raw_weights: Sequence, mode: str = "auto",
     """Check the measure axioms and build a Measure.
 
     Raises MeasureError for empty input, fewer than two atoms, or any
-    non-positive weight.  With ``normalize`` the weights are divided by their
+    non-finite or non-positive weight.  With ``normalize`` the weights are divided by their
     total, which is exact in rational mode.
     """
     if raw_weights is None or len(raw_weights) == 0:
@@ -95,6 +96,8 @@ def validate_measure(raw_weights: Sequence, mode: str = "auto",
         raise MeasureError("a Boolean algebra with fewer than two atoms has no "
                            "nontrivial atom space; need at least two weights")
     for i, w in enumerate(weights):
+        if actual_mode == FLOAT and not math.isfinite(w):
+            raise MeasureError(f"non-finite weight at index {i}: {w}")
         if not (w > 0):
             raise MeasureError(f"non-positive weight at index {i}: {w}")
         if actual_mode == FLOAT and w < DEGENERACY_THRESHOLD:
@@ -140,9 +143,9 @@ class DistanceMatrix:
 def distance_matrix(entries: Sequence[Sequence[Scalar]], mode: str = "auto") -> DistanceMatrix:
     """Validate the metric axioms and freeze the matrix.
 
-    Symmetry and the zero diagonal are checked exactly; in float mode the
-    triangle inequality is allowed a relative slack of 1e-12 to absorb
-    rounding of sums.
+    Entries must be finite.  Symmetry and the zero diagonal are checked
+    exactly; in float mode the triangle inequality is allowed a relative
+    slack of 1e-12 to absorb rounding of sums.
     """
     n = len(entries)
     if n < 2:
@@ -152,6 +155,10 @@ def distance_matrix(entries: Sequence[Sequence[Scalar]], mode: str = "auto") -> 
         raise MeasureError("distance matrix must be square")
     actual_mode = infer_mode(parse_scalar(v) for v in flat) if mode == "auto" else mode
     rows = tuple(coerce((parse_scalar(v) for v in row), actual_mode) for row in entries)
+    for i, row in enumerate(rows):
+        for j, v in enumerate(row):
+            if actual_mode == FLOAT and not math.isfinite(v):
+                raise MeasureError(f"non-finite distance at ({i},{j}): {v}")
     scale = max(abs(float(v)) for v in flat) or 1.0
     slack = 0 if actual_mode == EXACT else 1e-12 * scale
     for i in range(n):

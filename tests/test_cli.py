@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from atomembed import DegenerateWeightWarning
 from atomembed.cli import main
 
 
@@ -129,6 +130,43 @@ class TestCheckAndClassify:
         code, _, err = run(capsys, "check", path)
         assert code == 1
         assert "normalized" in err
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("token, shown", [("Infinity", "inf"),
+                                              ("-Infinity", "-inf"),
+                                              ("NaN", "nan")])
+    @pytest.mark.parametrize("command", ["classify", "check", "det", "embed"])
+    def test_non_finite_weight_exits_one(self, capsys, tmp_path, command,
+                                         token, shown):
+        path = tmp_path / "m.json"
+        path.write_text('{"weights": [1, 2, 3, %s]}' % token)
+        code, out, err = run(capsys, command, str(path))
+        assert code == 1
+        assert out == ""
+        assert err == ("atomembed: invalid input: "
+                       f"non-finite weight at index 3: {shown}\n")
+
+    @pytest.mark.parametrize("tiny", [1e-300, 5e-324])
+    def test_overflowing_criterion_is_indeterminate(self, capsys, tmp_path, tiny):
+        # the reciprocal sums overflow and the float criterion is inf - inf;
+        # the true value 3 + 6Z - Z^2 (Z = 1/tiny) is negative
+        path = write_measure(tmp_path, "t.json", [1.0, 1.0, 1.0, tiny])
+        with pytest.warns(DegenerateWeightWarning):
+            code, out, _ = run(capsys, "classify", path)
+        assert code == 2
+        assert json.loads(out)["verdict"] == "indeterminate"
+
+    @pytest.mark.parametrize("tiny", [1e-300, 5e-324])
+    def test_det_underflow_exits_one(self, capsys, tmp_path, tiny):
+        path = write_measure(tmp_path, "t.json", [1.0, 1.0, 1.0, tiny])
+        with pytest.warns(DegenerateWeightWarning):
+            code, out, err = run(capsys, "det", path)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("atomembed: invalid input: the rank-one route "
+                              "underflows in double precision")
+        assert "Traceback" not in err
 
 
 class TestDetCommand:

@@ -38,6 +38,12 @@ class TestValidateMeasure:
         with pytest.raises(MeasureError, match="non-positive"):
             validate_measure([0.3, -0.1, 0.8])
 
+    @pytest.mark.parametrize("bad", [float("inf"), float("-inf"), float("nan")])
+    def test_non_finite_weight_rejected(self, bad):
+        with pytest.raises(MeasureError,
+                           match=f"non-finite weight at index 1: {bad}"):
+            validate_measure([0.3, bad, 0.8])
+
     def test_empty_rejected(self):
         with pytest.raises(MeasureError):
             validate_measure([])
@@ -133,6 +139,12 @@ class TestDistanceMatrixValidation:
     def test_nonzero_diagonal_caught(self):
         with pytest.raises(MeasureError, match="diagonal"):
             distance_matrix([[1, 1], [1, 0]])
+
+    @pytest.mark.parametrize("bad", [float("inf"), float("-inf"), float("nan")])
+    def test_non_finite_entry_named(self, bad):
+        with pytest.raises(MeasureError,
+                           match=rf"non-finite distance at \(1,0\): {bad}"):
+            distance_matrix([[0.0, 1.0], [bad, 0.0]])
 
 
 class TestPowersetDistance:
