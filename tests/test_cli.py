@@ -132,7 +132,7 @@ class TestCheckAndClassify:
         assert "normalized" in err
 
 
-class TestNonFiniteInput:
+class TestNonFiniteValues:
     @pytest.mark.parametrize("token, shown", [("Infinity", "inf"),
                                               ("-Infinity", "-inf"),
                                               ("NaN", "nan")])

@@ -115,15 +115,6 @@ def test_sample_letters_match_enumeration(k, seed):
         assert row.verdict == LETTER[reference(m)[0]]
 
 
-@pytest.mark.parametrize("tiny", [1e-300, 5e-324])
-def test_non_finite_criterion_is_boundary(tiny):
-    m = Measure(weights=(1.0, 1.0, 1.0, tiny), mode=FLOAT, normalized=False)
-    assert math.isnan(reduced_criterion(m.weights))
-    report = is_flat(m)
-    assert report.boundary == ((0, 1, 2, 3),)
-    assert report.classification.verdict == "indeterminate"
-
-
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 def test_sign_verdict_non_finite_is_boundary(value):
     assert sign_verdict(value, 1.0, FLOAT) == "boundary"
