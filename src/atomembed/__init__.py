@@ -16,7 +16,6 @@ from .embedding import (
     EmbeddingConsistencyError,
     EmbeddingResult,
     NotFlatError,
-    RankAmbiguityError,
     embed,
     verify_isometry,
 )

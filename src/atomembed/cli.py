@@ -15,12 +15,7 @@ import sys
 from fractions import Fraction
 
 from . import __version__
-from .embedding import (
-    EmbeddingConsistencyError,
-    NotFlatError,
-    RankAmbiguityError,
-    embed,
-)
+from .embedding import EmbeddingConsistencyError, NotFlatError, embed
 from .explorer import (
     NoCrossingError,
     bisect_boundary,
@@ -29,7 +24,6 @@ from .explorer import (
     sweep,
 )
 from .families import (
-    FamilyError,
     FamilySpec,
     binomial_family,
     custom_family,
@@ -40,7 +34,6 @@ from .families import (
 )
 from .flatness import classify, is_flat
 from .gram import (
-    GramError,
     det_closed_form,
     det_lemma_route,
     det_numeric,
@@ -498,10 +491,7 @@ def main(argv=None) -> int:
     except ModeConflictError as exc:
         print(f"atomembed: mode conflict: {exc}", file=sys.stderr)
         return 1
-    except (MeasureError, FamilyError, GramError) as exc:
-        print(f"atomembed: invalid input: {exc}", file=sys.stderr)
-        return 1
-    except (NotFlatError, RankAmbiguityError, NoCrossingError) as exc:
+    except (NotFlatError, NoCrossingError) as exc:
         print(f"atomembed: {exc}", file=sys.stderr)
         return 1
     except EmbeddingConsistencyError as exc:

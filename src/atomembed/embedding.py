@@ -22,16 +22,10 @@ from .measure import DistanceMatrix, Measure, atom_metric
 ISOMETRY_TOL = 1e-8
 #: Eigenvalues in [-CLIP_RTOL * |M|, 0] are flat directions and clipped to 0.
 CLIP_RTOL = 1e-10
-#: Eigenvalues below RANK_RTOL * lambda_max do not contribute a coordinate.
-RANK_RTOL = 1e-9
 
 
 class NotFlatError(ValueError):
     """The measure does not satisfy the flatness precondition."""
-
-
-class RankAmbiguityError(ValueError):
-    """An eigenvalue sits in the grey zone between zero and signal."""
 
 
 class EmbeddingConsistencyError(RuntimeError):
@@ -67,10 +61,11 @@ def verify_isometry(coords: np.ndarray, d: DistanceMatrix) -> float:
 def embed(m: Measure, isometry_tol: float = ISOMETRY_TOL) -> EmbeddingResult:
     """Construct coordinates for a flat measure, base atom at the origin.
 
-    Raises NotFlatError when the flatness check fails (or cannot be decided
-    in float mode), RankAmbiguityError when an eigenvalue falls between the
-    rank tolerance and ten times it, and EmbeddingConsistencyError when the
-    spectrum or the residual contradicts flatness.
+    The number of coordinates is the dimension found by the flatness sweep,
+    which for a flat measure is the rank of the Gram matrix; the spectrum is
+    only checked against it.  Raises NotFlatError when the flatness check
+    fails (or cannot be decided in float mode), and EmbeddingConsistencyError
+    when the spectrum or the residual contradicts flatness.
     """
     report = is_flat(m)
     if not report.flat:
@@ -91,29 +86,19 @@ def embed(m: Measure, isometry_tol: float = ISOMETRY_TOL) -> EmbeddingResult:
         raise EmbeddingConsistencyError(
             f"Gram matrix has eigenvalue {eigvals.min():.3e} below -{clip:.3e} "
             "despite a flat verdict")
-    eigvals = np.where(eigvals < 0.0, 0.0, eigvals)
+    # eigh sorts ascending: the largest `rank` eigenpairs come last
+    rank = report.dimension
+    vals = np.maximum(eigvals[::-1][:rank], 0.0)
+    vecs = eigvecs[:, ::-1][:, :rank]
 
-    lam_max = float(eigvals.max())
-    rank_tol = RANK_RTOL * lam_max
-    grey = (eigvals > rank_tol) & (eigvals < 10.0 * rank_tol)
-    if np.any(grey):
-        raise RankAmbiguityError(
-            f"eigenvalues {eigvals[grey]} lie between the rank tolerance "
-            f"{rank_tol:.3e} and ten times it; the spectral rank is ambiguous")
-    keep = eigvals > rank_tol
-    order = np.argsort(eigvals[keep])[::-1]
-    vals = eigvals[keep][order]
-    vecs = eigvecs[:, keep][:, order]
-    rows = vecs * np.sqrt(vals)[None, :]
-
-    coords = np.zeros((m.size, int(keep.sum())))
-    coords[1:, :] = rows
+    coords = np.zeros((m.size, rank))
+    coords[1:, :] = vecs * np.sqrt(vals)
     residual = verify_isometry(coords, d)
     if residual > isometry_tol:
         raise EmbeddingConsistencyError(
             f"embedding residual {residual:.3e} exceeds tolerance {isometry_tol:.1e}")
     return EmbeddingResult(
-        dimension=coords.shape[1],
+        dimension=rank,
         coordinates=coords,
         max_residual=residual,
         base=0,

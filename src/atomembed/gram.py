@@ -25,7 +25,7 @@ from typing import Sequence, Tuple
 import numpy as np
 
 from .measure import DistanceMatrix, Measure
-from .scalars import BOUNDARY_MARGIN, EXACT, FLOAT, Scalar, half, infer_mode
+from .scalars import BOUNDARY_MARGIN, EXACT, Scalar, infer_mode
 
 
 class GramError(ValueError):
@@ -59,14 +59,21 @@ class GramMatrix:
 def triple_product(d: DistanceMatrix, i: int, j: int, base: int) -> Scalar:
     """Half of d(base,i)^2 + d(base,j)^2 - d(i,j)^2.
 
-    i or j may coincide with the base, in which case the value is 0.
+    i or j may coincide with the base, in which case the value is 0.  A float
+    entry that overflows double precision is refused with a GramError.
     """
     n = d.size
     for idx in (i, j, base):
         if not (0 <= idx < n):
             raise GramError(f"point index {idx} out of range for {n} points")
-    value = d[base, i] ** 2 + d[base, j] ** 2 - d[i, j] ** 2
-    return half(value)
+    try:
+        value = d[base, i] ** 2 + d[base, j] ** 2 - d[i, j] ** 2
+    except OverflowError:
+        value = math.inf
+    if isinstance(value, float) and not math.isfinite(value):
+        raise GramError(f"triple product entry ({i}, {j}) over base {base} overflows "
+                        f"in double precision; supply rational weights")
+    return value / 2
 
 
 def gram_matrix(d: DistanceMatrix, simplex: Sequence[int]) -> GramMatrix:
@@ -136,8 +143,7 @@ def det_numeric(matrix) -> Scalar:
     n = len(rows)
     if n == 0:
         return Fraction(1)
-    mode = infer_mode(v for row in rows for v in row)
-    det = Fraction(1) if mode == EXACT else 1.0
+    det = 1
     sign = 1
     for step in range(n):
         piv_r, piv_c, piv_abs = -1, -1, None
@@ -147,7 +153,7 @@ def det_numeric(matrix) -> Scalar:
                 if piv_abs is None or a > piv_abs:
                     piv_r, piv_c, piv_abs = r, c, a
         if piv_abs == 0:
-            return Fraction(0) if mode == EXACT else 0.0
+            return piv_abs  # zero in the entries' own type
         if piv_r != step:
             rows[step], rows[piv_r] = rows[piv_r], rows[step]
             sign = -sign
@@ -174,8 +180,7 @@ def adjugate(matrix):
     rows = _as_rows(matrix)
     n = len(rows)
     if n == 1:
-        one = 1.0 if infer_mode(rows[0]) == FLOAT else Fraction(1)
-        return ((one,),)
+        return ((rows[0][0] ** 0,),)  # one in the entry's own type
     out = []
     for i in range(n):
         out_row = []
@@ -223,23 +228,19 @@ def appendix_decomposition(xs: Sequence[Scalar]) -> AppendixDecomposition:
     if n < 2:
         raise GramError("the rank-one decomposition needs at least three weights")
     _check_positive(xs)
-    mode = infer_mode(xs)
-    zero = Fraction(0) if mode == EXACT else 0.0
-    one = Fraction(1) if mode == EXACT else 1.0
+    zero = 0 * xs[0]  # Fraction or float, like the weights
     tail = xs[1:]
     a = tuple(
         tuple(zero if i == j else -2 * tail[i] * tail[j] for j in range(n))
         for i in range(n)
     )
     v = tuple(xs[0] + xi for xi in tail)
-    sq = one
-    for xi in tail:
-        sq *= xi * xi
+    sq = math.prod(xi * xi for xi in tail)
     det_a = -(2 ** n) * sq * (n - 1)
     try:
         adj_a = tuple(
             tuple(
-                (2 ** (n - 1)) * sq * (one / (tail[i] * tail[j])
+                (2 ** (n - 1)) * sq * (1 / (tail[i] * tail[j])
                                        - ((n - 1) / (tail[i] * tail[i]) if i == j else zero))
                 for j in range(n)
             )
@@ -280,9 +281,7 @@ def det_closed_form(xs: Sequence[Scalar]) -> Scalar:
         raise GramError("the closed form needs at least three weights")
     _check_positive(xs)
     if infer_mode(xs) == EXACT:
-        prod = Fraction(1)
-        for x in xs:
-            prod *= x
+        prod = math.prod(xs, start=Fraction(1))
         e = sum(prod / x for x in xs)
         q = sum((prod / x) ** 2 for x in xs)
         return (2 ** (n - 1)) * (e * e - (n - 1) * q)
@@ -290,9 +289,7 @@ def det_closed_form(xs: Sequence[Scalar]) -> Scalar:
 
 
 def _det_closed_float(xs: Tuple[float, ...], n: int) -> float:
-    prod = 1.0
-    for x in xs:
-        prod *= x
+    prod = math.prod(xs)
     if 1e-280 < abs(prod) < 1e280:
         partials = [prod / x for x in xs]
         e = math.fsum(partials)

@@ -10,6 +10,7 @@ verdicts computed from them carry an explicit indeterminacy margin.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterable, Union
 
@@ -79,16 +80,16 @@ def coerce(values, mode: str):
 
 
 def scalar_to_json(x: Scalar):
-    """JSON-friendly form: Fractions as "p/q" strings, floats as numbers."""
+    """JSON-friendly form: Fractions as "p/q" strings, floats as numbers.
+
+    JSON has no number for an overflowed or NaN float, so a non-finite float
+    becomes None (printed as null).
+    """
     if isinstance(x, Fraction):
         return f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)
-    return x
+    return x if math.isfinite(x) else None
 
 
 def format_decimal(x: Scalar) -> str:
     """Decimal rendering with 17 significant digits (CSV convention)."""
     return f"{float(x):.17g}"
-
-
-def half(x: Scalar) -> Scalar:
-    return x / 2 if isinstance(x, Fraction) else 0.5 * x

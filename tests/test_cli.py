@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import warnings
 
 import pytest
 
@@ -167,6 +168,38 @@ class TestNonFiniteValues:
         assert err.startswith("atomembed: invalid input: the rank-one route "
                               "underflows in double precision")
         assert "Traceback" not in err
+
+
+    @pytest.mark.parametrize("command", ["det", "embed"])
+    def test_overflowing_triple_product_exits_one(self, capsys, tmp_path, command):
+        # (1 + 1e200)^2 does not fit a double
+        path = write_measure(tmp_path, "h.json", [1.0, 1.0, 1.0, 1e200])
+        code, out, err = run(capsys, command, path)
+        assert code == 1
+        assert out == ""
+        assert err == ("atomembed: invalid input: triple product entry (1, 3) "
+                       "over base 0 overflows in double precision; "
+                       "supply rational weights\n")
+
+    @pytest.mark.parametrize("weights, argv, code, key", [
+        ([1.0, 1.0, 1.0, 1e-300], ["check"], 2, ("subset_values", "0,1,2,3")),
+        ([1.0, 1.0, 1.0, 1e-300], ["det", "--mode", "closed"], 2, ("criterion",)),
+        ([1.0, 1.0, 1.0, 1e200], ["det", "--mode", "closed"], 0, ("values", "closed")),
+    ])
+    def test_non_finite_value_prints_null(self, capsys, tmp_path, weights, argv,
+                                          code, key):
+        def refuse(token):
+            raise AssertionError(f"{token} is not JSON")
+
+        path = write_measure(tmp_path, "m.json", weights)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DegenerateWeightWarning)
+            got, out, _ = run(capsys, argv[0], path, *argv[1:])
+        assert got == code
+        doc = json.loads(out, parse_constant=refuse)
+        for part in key:
+            doc = doc[part]
+        assert doc is None
 
 
 class TestDetCommand:

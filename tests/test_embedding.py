@@ -3,14 +3,19 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from atomembed import (
     NotFlatError,
     atom_metric,
     binomial_family,
+    classify,
     dimension,
     embed,
+    is_flat,
     realize,
+    reduced_criterion,
     uniform_family,
     validate_measure,
     verify_isometry,
@@ -75,15 +80,40 @@ class TestEmbed:
         with pytest.raises(NotFlatError, match="indeterminate"):
             embed(m)
 
-    def test_grey_zone_eigenvalue_raises_rank_ambiguity(self):
-        # just inside the flat region: the smallest eigenvalue lands between
-        # the rank tolerance and ten times it, so the rank is not trusted
-        from atomembed import RankAmbiguityError
-
+    def test_grey_zone_input_embeds_at_classify_dimension(self):
+        # just inside the flat region the smallest Gram eigenvalue is about
+        # 4e-9 of the largest; the rank still comes from the sweep
         s = (1.0 / (3.0 + 2.0 * math.sqrt(3.0))) * (1.0 + 1e-7)
         m = validate_measure([1.0, 1.0, 1.0, s])
-        with pytest.raises(RankAmbiguityError, match="rank"):
-            embed(m)
+        result = embed(m)
+        assert result.dimension == classify(m).dimension == 3
+        assert result.max_residual <= 1e-8
+
+    @pytest.mark.parametrize("weights", [
+        [1, 1, 1, "1250000/8080127"],
+        [1, 1, 1, "10000/64641"],
+        [1.0, 1.0, 1.0, (1.0 + 1e-8) / (3.0 + 2.0 * math.sqrt(3.0))],
+    ])
+    def test_near_boundary_embeds_at_classify_dimension(self, weights):
+        # flat by a hair: the smallest Gram eigenvalue is about 1e-10 to 1e-8
+        # of the largest, yet it carries a coordinate
+        m = validate_measure(weights)
+        result = embed(m)
+        assert result.dimension == classify(m).dimension == 3
+        assert result.coordinates.shape == (4, 3)
+        assert result.max_residual <= 1e-8
+
+    @pytest.mark.parametrize("weights, dim", [
+        ([1, 1, "1/4", "1/12"], 2),
+        ([1, 1, 1, "1/3", "1/6"], 3),
+    ])
+    def test_zero_criterion_drops_the_rank(self, weights, dim):
+        # the full set has criterion exactly 0, so its Gram matrix is singular
+        m = validate_measure(weights)
+        assert reduced_criterion(m.weights) == 0
+        result = embed(m)
+        assert result.dimension == is_flat(m).dimension == dim
+        assert result.max_residual <= 1e-8
 
     def test_random_flat_measures_embed_isometrically(self, rng):
         embedded = 0
@@ -96,6 +126,39 @@ class TestEmbed:
             embedded += 1
             assert result.max_residual <= 1e-8
         assert embedded > 30
+
+
+def zero_criterion_weights(z1, z2, excess):
+    """Four weights on the boundary: their reduced criterion is exactly 0.
+
+    In z = 1/x the 4-atom criterion vanishes at z4 = z1 + z2 + z3 + 2 sqrt(e2)
+    with e2 = z1 z2 + z1 z3 + z2 z3; z3 > 0 is chosen so that e2 = t^2 with
+    t = z1 + z2 + excess.
+    """
+    t = z1 + z2 + excess
+    z3 = (t * t - z1 * z2) / (z1 + z2)
+    zs = (z1, z2, z3, z1 + z2 + z3 + 2 * t)
+    return [1 / z for z in zs]
+
+
+rationals = st.builds(Fraction, st.integers(1, 40), st.integers(1, 40))
+near_uniform = st.builds(Fraction, st.integers(90, 110), st.just(100))
+flat_candidates = st.one_of(
+    st.lists(rationals, min_size=2, max_size=7),
+    st.lists(near_uniform, min_size=2, max_size=7),
+    st.builds(zero_criterion_weights, rationals, rationals, rationals),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(flat_candidates)
+def test_embed_dimension_is_sweep_dimension(weights):
+    m = validate_measure(weights)
+    report = is_flat(m)
+    assume(report.flat)
+    result = embed(m)
+    assert result.dimension == report.dimension
+    assert result.coordinates.shape == (m.size, report.dimension)
 
 
 class TestVerifyIsometry:

@@ -94,6 +94,11 @@ class TestClosedForm:
         # 2^(n-1) * 2(n+1) * x^(2n) at n=3, x=1/4 is 1/128
         assert det_closed_form([Fraction(1, 4)] * 4) == Fraction(1, 128)
 
+    def test_integer_weights_stay_exact(self):
+        value = det_closed_form([1, 2, 3, 4])
+        assert isinstance(value, Fraction)
+        assert value == det_closed_form([Fraction(x) for x in (1, 2, 3, 4)])
+
     def test_uniform_closed_form_all_sizes(self):
         for k in range(2, 11):
             x = Fraction(1, k + 1)
