@@ -62,6 +62,7 @@ from .gram import (
     atom_gram_matrix,
     cone_criterion,
     criterion_scale,
+    criterion_sign,
     det_closed_form,
     det_lemma_route,
     det_numeric,

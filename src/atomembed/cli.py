@@ -34,13 +34,11 @@ from .families import (
 )
 from .flatness import classify, is_flat
 from .gram import (
+    criterion_sign,
     det_closed_form,
     det_lemma_route,
     det_numeric,
-    criterion_scale,
     gram_matrix,
-    reduced_criterion,
-    sign_verdict,
 )
 from .measure import (
     MeasureError,
@@ -119,10 +117,6 @@ def _write_csv(rows, header, out_path=None):
         w.writerows(rows)
 
 
-def _subset_key(subset) -> str:
-    return ",".join(str(i) for i in subset)
-
-
 # -- subcommands ---------------------------------------------------------------
 
 def _cmd_det(args) -> int:
@@ -134,6 +128,9 @@ def _cmd_det(args) -> int:
     if len(simplex) < 3:
         raise CliError("det needs a simplex of at least 3 points "
                        f"(got {len(simplex)}); pairs are always realizable")
+    if len(set(simplex)) != len(simplex) or not all(0 <= i < m.size for i in simplex):
+        raise CliError(f"simplex {args.simplex} must list distinct atom indices "
+                       f"from 0 to {m.size - 1}")
     xs = m.subset_weights(simplex)
     values = {}
     if args.mode in ("closed", "all"):
@@ -142,8 +139,8 @@ def _cmd_det(args) -> int:
         values["numeric"] = det_numeric(gram_matrix(atom_metric(m), simplex))
     if args.mode in ("lemma", "all"):
         values["lemma"] = det_lemma_route(xs)
-    criterion = reduced_criterion(xs)
-    sign = sign_verdict(criterion, criterion_scale(xs), m.mode)
+    zs = m.reciprocals()
+    criterion, sign = criterion_sign([zs[i] for i in simplex])
     _emit_json({
         "simplex": simplex,
         "order": len(simplex) - 1,
@@ -164,7 +161,7 @@ def _report_json(report) -> dict:
         "mode": report.mode,
         "dimension": report.dimension,
         "subset_values": {
-            _subset_key(s): scalar_to_json(v)
+            ",".join(str(i) for i in s): scalar_to_json(v)
             for s, v in report.subset_values.items()
         },
     }
@@ -439,7 +436,6 @@ def build_parser() -> _Parser:
     p.add_argument("--population", type=int)
     p.add_argument("--successes", type=int)
     p.add_argument("--draws", type=int)
-    p.add_argument("--weights", help=argparse.SUPPRESS)
     p.add_argument("--param", required=True, help="parameter to vary")
     p.add_argument("--start", required=True)
     p.add_argument("--stop", required=True)

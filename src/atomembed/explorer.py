@@ -69,7 +69,7 @@ def sweep(grid: Sequence[Tuple[Scalar, Measure]],
             rows.append(SweepRow(parameter=value, verdict=cls.letter,
                                  worst_value=worst_val, witness=worst_sub,
                                  reason=cls.reason))
-        except (MeasureError, ValueError) as exc:
+        except ValueError as exc:
             rows.append(SweepRow(parameter=value, verdict="I",
                                  worst_value=None, witness=None,
                                  reason=str(exc)))

@@ -16,9 +16,9 @@ from typing import Dict, Iterator, Optional, Tuple
 
 import numpy as np
 
-from .gram import cone_criterion, criterion_scale, reduced_criterion, sign_verdict
+from .gram import criterion_sign
 from .measure import AtomSubset, Measure
-from .scalars import FLOAT, Scalar
+from .scalars import Scalar
 
 
 @dataclass(frozen=True)
@@ -93,20 +93,17 @@ def is_flat(m: Measure, full_set_only: bool = False) -> FlatnessReport:
     """Check every atom subset of size >= 4 and report the verdict.
 
     Pairs and triples are flat unconditionally, so a measure on two or three
-    atoms is flat with nothing checked.  Each subset's sign is decided once,
-    by :func:`sign_verdict`: exactly in exact mode, with the boundary margin
-    in float mode.
+    atoms is flat with nothing checked.  The reciprocals are taken once; each
+    subset's value and sign come from one :func:`criterion_sign` call: exact
+    in exact mode, with the boundary margin in float mode.
     """
     values: Dict[AtomSubset, Scalar] = {}
     witness: Optional[AtomSubset] = None
     boundary = []
     dim = min(m.size - 1, 2)
+    zs = m.reciprocals()
     for sub in checked_subsets(m.size, full_set_only):
-        xs = m.subset_weights(sub)
-        value = reduced_criterion(xs)
-        values[sub] = value
-        scale = criterion_scale(xs) if m.mode == FLOAT else 0.0
-        sign = sign_verdict(value, scale, m.mode)
+        values[sub], sign = criterion_sign([zs[i] for i in sub])
         if sign == "boundary":
             boundary.append(sub)
         elif sign == "negative":
@@ -213,5 +210,4 @@ __all__ = [
     "cone_half_angle_cos",
     "cone_axis_cos",
     "cone_membership",
-    "cone_criterion",
 ]

@@ -11,8 +11,12 @@ provided and cross-checked:
   * a rank-one-update route M = A + v v^t with the adjugate of A given in
     closed form, combined through det(A + u v^t) = det(A) + v^t Adj(A) u.
 
-The sign, which is all that classification needs, is also available through
-the scale-free criterion (sum 1/x_a)^2 - (n-1) * sum 1/x_a^2.
+The sign, which is all that classification needs, is that of the cone
+criterion (sum z)^2 - (n-1) sum z^2 at the reciprocals z = 1/x, taken once
+per measure.  :func:`criterion_sign`, shared by the flatness sweep and
+``det``, forms one pair of power sums per subset (exact over Fractions,
+math.fsum over floats) and returns the value with its sign; the other
+criterion functions are validating wrappers over the same sums.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from typing import Sequence, Tuple
 import numpy as np
 
 from .measure import DistanceMatrix, Measure
-from .scalars import BOUNDARY_MARGIN, EXACT, Scalar, infer_mode
+from .scalars import BOUNDARY_MARGIN, EXACT, FLOAT, Scalar, infer_mode
 
 
 class GramError(ValueError):
@@ -44,16 +48,13 @@ class GramMatrix:
     points: Tuple[int, ...]
     mode: str
 
-    @property
-    def base(self) -> int:
-        return self.points[0]
-
-    @property
-    def order(self) -> int:
-        return len(self.entries)
-
     def as_array(self) -> np.ndarray:
-        return np.asarray(self.entries, dtype=float)
+        """The entries as doubles; an exact entry beyond double range is a GramError."""
+        try:
+            return np.asarray(self.entries, dtype=float)
+        except OverflowError as exc:
+            raise GramError(f"a triple product over base {self.points[0]} exceeds "
+                            f"double precision") from exc
 
 
 def triple_product(d: DistanceMatrix, i: int, j: int, base: int) -> Scalar:
@@ -125,8 +126,6 @@ def atom_gram_matrix(m: Measure, simplex: Sequence[int]) -> GramMatrix:
 def _as_rows(matrix):
     if isinstance(matrix, GramMatrix):
         return [list(row) for row in matrix.entries]
-    if isinstance(matrix, np.ndarray):
-        return [list(row) for row in matrix.tolist()]
     rows = [list(row) for row in matrix]
     if any(len(row) != len(rows) for row in rows):
         raise GramError("matrix must be square")
@@ -317,22 +316,32 @@ def _det_closed_float(xs: Tuple[float, ...], n: int) -> float:
     return bracket * scale
 
 
-def _power_sums(zs, exact: bool):
-    """(sum z, sum z^2): exact over Fractions, correctly rounded over floats."""
-    if exact:
-        return sum(zs, Fraction(0)), sum((z * z for z in zs), Fraction(0))
-    return math.fsum(zs), math.fsum(z * z for z in zs)
+def _power_sums(zs):
+    """(sum z, sum z^2): correctly rounded over floats, exact otherwise."""
+    if isinstance(zs[0], float):
+        return math.fsum(zs), math.fsum(z * z for z in zs)
+    return sum(zs, Fraction(0)), sum((z * z for z in zs), Fraction(0))
 
 
-def _reciprocals(xs, exact: bool):
-    if exact:
-        return [Fraction(1) / x for x in xs]
-    return [1.0 / float(x) for x in xs]
+def criterion_sign(zs: Sequence[Scalar]) -> Tuple[Scalar, str]:
+    """(value, sign) of the cone criterion (sum z)^2 - (n-1) sum z^2.
+
+    The n+1 >= 3 reciprocals are validated by the caller and all floats or all
+    exact; the float scale (sum z)^2 + (n-1) sum z^2 is built only for floats.
+    """
+    s1, s2 = _power_sums(zs)
+    value = s1 * s1 - (len(zs) - 2) * s2
+    if isinstance(value, float):
+        return value, sign_verdict(value, s1 * s1 + (len(zs) - 2) * s2, FLOAT)
+    return value, sign_verdict(value, 0.0, EXACT)
 
 
-def _cone(zs, exact: bool) -> Scalar:
-    s1, s2 = _power_sums(zs, exact)
-    return s1 * s1 - (len(zs) - 2) * s2
+def _checked(values, what: str, noun: str) -> Tuple[Scalar, ...]:
+    values = tuple(values)
+    if len(values) < 3:
+        raise GramError(f"the {what} needs at least three {noun}")
+    _check_positive(values)
+    return values
 
 
 def reduced_criterion(xs: Sequence[Scalar]) -> Scalar:
@@ -342,12 +351,9 @@ def reduced_criterion(xs: Sequence[Scalar]) -> Scalar:
     to a positive factor: multiplying all weights by c divides the value by
     c^2, so the sign is invariant.
     """
-    xs = tuple(xs)
-    if len(xs) < 3:
-        raise GramError("the reduced criterion needs at least three weights")
-    _check_positive(xs)
-    exact = infer_mode(xs) == EXACT
-    return _cone(_reciprocals(xs, exact), exact)
+    xs = _checked(xs, "reduced criterion", "weights")
+    one = Fraction(1) if infer_mode(xs) == EXACT else 1.0  # 1.0 / x is 1.0 / float(x)
+    return criterion_sign([one / x for x in xs])[0]
 
 
 def cone_criterion(zs: Sequence[Scalar]) -> Scalar:
@@ -355,19 +361,15 @@ def cone_criterion(zs: Sequence[Scalar]) -> Scalar:
 
     The reciprocal image is where the flat region becomes a solid cone.
     """
-    zs = tuple(zs)
-    if len(zs) < 3:
-        raise GramError("the cone criterion needs at least three coordinates")
-    _check_positive(zs)
-    exact = infer_mode(zs) == EXACT
-    return _cone(zs if exact else [float(z) for z in zs], exact)
+    zs = _checked(zs, "cone criterion", "coordinates")
+    return criterion_sign(zs if infer_mode(zs) == EXACT else [float(z) for z in zs])[0]
 
 
 def criterion_scale(xs: Sequence[Scalar]) -> float:
     """Natural magnitude of the reduced criterion before cancellation."""
-    xs = tuple(xs)
-    s1, s2 = _power_sums(_reciprocals(xs, False), False)
-    return s1 * s1 + abs(len(xs) - 2) * s2
+    xs = _checked(xs, "criterion scale", "weights")
+    s1, s2 = _power_sums([1.0 / float(x) for x in xs])
+    return s1 * s1 + (len(xs) - 2) * s2
 
 
 def sign_verdict(value: Scalar, scale: float, mode: str) -> str:

@@ -65,8 +65,10 @@ class Measure:
         """Number of atoms, k+1."""
         return len(self.weights)
 
-    def as_floats(self) -> Tuple[float, ...]:
-        return tuple(float(w) for w in self.weights)
+    def reciprocals(self) -> Tuple[Scalar, ...]:
+        """1/x for every weight: exact Fractions in exact mode, doubles in float mode."""
+        one = Fraction(1) if self.mode == EXACT else 1.0
+        return tuple(one / w for w in self.weights)
 
     def subset_weights(self, indices: Iterable[int]) -> Tuple[Scalar, ...]:
         return tuple(self.weights[i] for i in indices)
@@ -252,7 +254,7 @@ def measure_to_json(m: Measure) -> dict:
     }
 
 
-def measure_from_json(obj, mode: str = "auto", normalize: bool = False) -> Measure:
+def measure_from_json(obj, mode: str = "auto") -> Measure:
     """Build a Measure from a parsed JSON document.
 
     Schema: {"weights": [numbers or "p/q" strings], "normalized": bool}.
@@ -261,7 +263,7 @@ def measure_from_json(obj, mode: str = "auto", normalize: bool = False) -> Measu
     """
     if not isinstance(obj, dict) or "weights" not in obj:
         raise MeasureError('measure document must be an object with a "weights" array')
-    m = validate_measure(obj["weights"], mode=mode, normalize=normalize)
+    m = validate_measure(obj["weights"], mode=mode)
     stated = obj.get("normalized")
     if stated is not None and bool(stated) != m.normalized:
         raise MeasureError(
@@ -270,10 +272,10 @@ def measure_from_json(obj, mode: str = "auto", normalize: bool = False) -> Measu
     return m
 
 
-def load_measure(path, mode: str = "auto", normalize: bool = False) -> Measure:
+def load_measure(path, mode: str = "auto") -> Measure:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             obj = json.load(fh)
         except json.JSONDecodeError as exc:
             raise MeasureError(f"malformed JSON in {path}: {exc}") from exc
-    return measure_from_json(obj, mode=mode, normalize=normalize)
+    return measure_from_json(obj, mode=mode)

@@ -2,11 +2,16 @@ import csv
 import json
 import math
 import warnings
+from fractions import Fraction
 
 import pytest
 
 from atomembed import DegenerateWeightWarning
 from atomembed.cli import main
+from atomembed.scalars import scalar_to_json
+
+#: 10^400 written out: exact, and far beyond double range
+HUGE = "1" + "0" * 400
 
 
 def run(capsys, *argv):
@@ -231,6 +236,32 @@ class TestDetCommand:
         assert code == 1
         assert "3 points" in err
 
+    @pytest.mark.parametrize("mode", ["closed", "numeric", "lemma", "all"])
+    @pytest.mark.parametrize("simplex", ["0,1,9", "0,1,-1", "0,1,1"])
+    def test_bad_simplex_exits_one(self, capsys, uniform4, simplex, mode):
+        code, out, err = run(capsys, "det", uniform4, "--simplex", simplex,
+                             "--mode", mode)
+        assert code == 1
+        assert out == ""
+        assert err == (f"atomembed: error: simplex {simplex} must list distinct "
+                       "atom indices from 0 to 3\n")
+
+    @pytest.mark.parametrize("mode", ["closed", "numeric", "lemma", "all"])
+    @pytest.mark.parametrize("weights, sign", [
+        (["1", "1", "1", "1/" + HUGE], "negative"),
+        (["1", "2", "3", HUGE], "positive"),
+    ])
+    def test_exact_weights_beyond_double_range(self, capsys, tmp_path, weights,
+                                               sign, mode):
+        zs = [1 / Fraction(w) for w in weights]
+        criterion = sum(zs) ** 2 - (len(zs) - 2) * sum(z * z for z in zs)
+        path = write_measure(tmp_path, "m.json", weights)
+        code, out, _ = run(capsys, "det", path, "--mode", mode)
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["criterion"] == scalar_to_json(criterion)
+        assert doc["sign"] == sign
+
 
 class TestEmbedCommand:
     def test_uniform_to_file(self, capsys, uniform4, tmp_path):
@@ -260,6 +291,17 @@ class TestEmbedCommand:
         code, _, err = run(capsys, "embed", binom5)
         assert code == 1
         assert "witness" in err
+
+    def test_gram_beyond_double_range_exits_one(self, capsys, tmp_path):
+        # embeddable, but the Gram matrix is factorized in double precision
+        path = write_measure(tmp_path, "h.json", ["1", "2", "3", HUGE])
+        code, out, _ = run(capsys, "classify", path)
+        assert (code, json.loads(out)["verdict"]) == (0, "embeddable")
+        code, out, err = run(capsys, "embed", path)
+        assert code == 1
+        assert out == ""
+        assert err == ("atomembed: invalid input: a triple product over base 0 "
+                       "exceeds double precision\n")
 
 
 class TestSweepCommand:

@@ -106,6 +106,44 @@ def test_float_verdicts_match_enumeration(weights):
     assert_matches_reference(validate_measure(weights))
 
 
+def formula(xs):
+    """(value, sign) of the cone criterion at 1/x, summed directly."""
+    if isinstance(xs[0], float):
+        s1 = math.fsum(1.0 / x for x in xs)
+        s2 = math.fsum((1.0 / x) * (1.0 / x) for x in xs)
+        value = s1 * s1 - (len(xs) - 2) * s2
+        return value, sign_verdict(value, s1 * s1 + (len(xs) - 2) * s2, FLOAT)
+    s1 = sum(Fraction(1) / x for x in xs)
+    s2 = sum(Fraction(1) / (x * x) for x in xs)
+    value = s1 * s1 - (len(xs) - 2) * s2
+    return value, sign_verdict(value, 0, EXACT)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(exact_weights, float_weights))
+@example([1.0, 1.0, 1.0, 1.0 / _T, 0.01])
+@example([1.0, 1.0, 1.0, 1.0 / (_T * (1 + 1e-12))])  # nonzero, inside the margin
+@example(["1", "1", "1", "1/3", "1/6"])  # criterion exactly 0 on (0,1,2,3,4)
+def test_sweep_values_equal_the_formula(weights):
+    m = validate_measure(weights)
+    report = is_flat(m)
+    assert list(report.subset_values) == list(checked_subsets(m.size))
+    witness, boundary, dim = None, [], min(m.size - 1, 2)
+    for sub, got in report.subset_values.items():
+        value, sign = formula([m.weights[i] for i in sub])
+        assert got == value and type(got) is type(value)
+        if sign == "negative":
+            witness = witness or sub
+        elif sign == "boundary":
+            boundary.append(sub)
+        elif sign == "positive":
+            dim = max(dim, len(sub) - 1)
+    assert report.witness == witness
+    assert report.flat is (witness is None)
+    assert report.boundary == tuple(boundary)
+    assert report.dimension == dim
+
+
 @settings(max_examples=15, deadline=None)
 @given(st.integers(3, 6), st.integers(0, 2**32 - 1))
 def test_sample_letters_match_enumeration(k, seed):
@@ -122,19 +160,15 @@ def test_sign_verdict_non_finite_is_boundary(value):
 
 @pytest.fixture
 def counted(monkeypatch):
-    """Counts the criterion and scale calls made through the flatness sweep."""
+    """Counts the criterion kernel calls made through the flatness sweep."""
     calls = Counter()
+    kernel = flatness.criterion_sign
 
-    def counting(name, fn):
-        def wrapped(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
-        return wrapped
+    def wrapped(zs):
+        calls["criterion"] += 1
+        return kernel(zs)
 
-    monkeypatch.setattr(flatness, "reduced_criterion",
-                        counting("criterion", flatness.reduced_criterion))
-    monkeypatch.setattr(flatness, "criterion_scale",
-                        counting("scale", flatness.criterion_scale))
+    monkeypatch.setattr(flatness, "criterion_sign", wrapped)
     return calls
 
 
@@ -157,15 +191,12 @@ def test_each_command_sweeps_once(command, name, flag, counted, tmp_path, capsys
     capsys.readouterr()
     checked = sum(1 for _ in checked_subsets(len(weights), bool(flag)))
     assert counted["criterion"] == checked
-    if name.startswith("exact"):
-        assert counted["scale"] == 0
-    else:
-        assert counted["scale"] <= checked
 
 
 def test_dimension_reads_the_report(counted):
     m = validate_measure(COUNT_INPUTS["exact_flat"])
     report = is_flat(m)
     swept = counted["criterion"]
+    assert swept == report.checked_count > 0
     assert dimension(m, report) == report.dimension == 9
     assert counted["criterion"] == swept
