@@ -46,6 +46,7 @@ from .flatness import (
     FlatnessReport,
     checked_subsets,
     classify,
+    criterion_table,
     cone_axis_cos,
     cone_half_angle_cos,
     cone_membership,

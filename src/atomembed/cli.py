@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -32,7 +33,7 @@ from .families import (
     realize,
     uniform_family,
 )
-from .flatness import classify, is_flat
+from .flatness import classify, criterion_table, is_flat
 from .gram import (
     criterion_sign,
     det_closed_form,
@@ -152,28 +153,32 @@ def _cmd_det(args) -> int:
     return 2 if sign == "boundary" else 0
 
 
-def _report_json(report) -> dict:
-    return {
-        "flat": report.flat,
-        "witness": list(report.witness) if report.witness else None,
-        "checked_count": report.checked_count,
-        "boundary": [list(s) for s in report.boundary],
-        "mode": report.mode,
-        "dimension": report.dimension,
-        "subset_values": {
-            ",".join(str(i) for i in s): scalar_to_json(v)
-            for s, v in report.subset_values.items()
-        },
-    }
+#: Most subset rows `check` prints: every subset of up to 20 atoms.
+MAX_CHECK_ROWS = 2 ** 20
 
 
 def _cmd_check(args) -> int:
     m = _load(args.measure, args)
+    rows = (max(m.size - 3, 0) if args.full_set_only
+            else sum(math.comb(m.size, s) for s in range(4, m.size + 1)))
+    if rows > MAX_CHECK_ROWS:
+        raise CliError(f"check would print {rows} subset rows for {m.size} atoms "
+                       f"(at most {MAX_CHECK_ROWS}); use classify for the verdict")
     report = is_flat(m, full_set_only=args.full_set_only)
-    doc = _report_json(report)
-    doc["verdict"] = report.classification.verdict
-    _emit_json(doc, args.out)
-    return 2 if doc["verdict"] == "indeterminate" else 0
+    table = criterion_table(m, full_set_only=args.full_set_only)
+    _emit_json({
+        "flat": report.flat,
+        "witness": list(report.witness) if report.witness else None,
+        "checked_count": len(table),
+        "boundary": [list(s) for s in report.boundary],
+        "mode": report.mode,
+        "dimension": report.dimension,
+        "subset_values": {
+            ",".join(str(i) for i in s): scalar_to_json(v) for s, v in table.items()
+        },
+        "verdict": report.classification.verdict,
+    }, args.out)
+    return 2 if report.letter == "I" else 0
 
 
 def _cmd_classify(args) -> int:
@@ -315,8 +320,9 @@ def _resolve_seed(args) -> int:
 
 def _cmd_sample(args) -> int:
     seed = _resolve_seed(args)
-    summary, rows = sample_simplex(args.k, args.count, seed=seed,
-                                   jobs=args.jobs, keep_rows=True)
+    result = sample_simplex(args.k, args.count, seed=seed, jobs=args.jobs,
+                            keep_rows=bool(args.rows))
+    summary, rows = result if args.rows else (result, None)
     if args.rows:
         header = ["index"] + [f"w{i}" for i in range(args.k + 1)] + \
                  ["verdict", "worst_value"]

@@ -61,8 +61,8 @@ def verify_isometry(coords: np.ndarray, d: DistanceMatrix) -> float:
 def embed(m: Measure, isometry_tol: float = ISOMETRY_TOL) -> EmbeddingResult:
     """Construct coordinates for a flat measure, base atom at the origin.
 
-    The number of coordinates is the dimension found by the flatness sweep,
-    which for a flat measure is the rank of the Gram matrix; the spectrum is
+    The number of coordinates is the flatness report's dimension, which for
+    a flat measure is the rank of the Gram matrix; the spectrum is
     only checked against it.  Raises NotFlatError when the flatness check
     fails (or cannot be decided in float mode), and EmbeddingConsistencyError
     when the spectrum or the residual contradicts flatness.

@@ -16,7 +16,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .flatness import classify, is_flat
+from .flatness import is_flat
 from .gram import reduced_criterion
 from .measure import Measure, MeasureError, validate_measure
 from .scalars import FLOAT, Scalar
@@ -45,14 +45,6 @@ class SweepRow:
     reason: Optional[str] = None
 
 
-def _worst_subset(report) -> Tuple[Optional[Tuple[int, ...]], Optional[Scalar]]:
-    worst_sub, worst_val = None, None
-    for sub, value in report.subset_values.items():
-        if worst_val is None or value < worst_val:
-            worst_sub, worst_val = sub, value
-    return worst_sub, worst_val
-
-
 def sweep(grid: Sequence[Tuple[Scalar, Measure]],
           full_set_only: bool = False) -> List[SweepRow]:
     """Classify every grid point; rows come back in grid order.
@@ -64,11 +56,10 @@ def sweep(grid: Sequence[Tuple[Scalar, Measure]],
     for value, measure in grid:
         try:
             report = is_flat(measure, full_set_only=full_set_only)
-            cls = report.classification
-            worst_sub, worst_val = _worst_subset(report)
-            rows.append(SweepRow(parameter=value, verdict=cls.letter,
+            worst_sub, worst_val = report.worst
+            rows.append(SweepRow(parameter=value, verdict=report.letter,
                                  worst_value=worst_val, witness=worst_sub,
-                                 reason=cls.reason))
+                                 reason=report.reason))
         except ValueError as exc:
             rows.append(SweepRow(parameter=value, verdict="I",
                                  worst_value=None, witness=None,
@@ -108,12 +99,12 @@ def mixture(m0: Measure, m1: Measure, t: Scalar) -> Measure:
 
 
 def _definite_letter(measure: Measure, full_set_only: bool) -> str:
-    cls = classify(measure, full_set_only=full_set_only)
-    if cls.verdict == "indeterminate":
+    report = is_flat(measure, full_set_only=full_set_only)
+    if report.reason is not None:
         raise ValueError(
-            f"indeterminate verdict during bisection ({cls.reason}); "
+            f"indeterminate verdict during bisection ({report.reason}); "
             "use rational inputs for exact bracketing")
-    return cls.letter
+    return report.letter
 
 
 def bisect_boundary(measure_at: Callable[[Scalar], Measure], lo, hi,
@@ -217,16 +208,14 @@ def _sample_weights(seed: int, k: int, index: int) -> Tuple[float, ...]:
 
 
 def _sample_chunk(args) -> List[SampleRow]:
-    seed, k, start, stop = args
+    """Draws start..stop-1; the worst value is searched for only when ``worst`` is set."""
+    seed, k, start, stop, worst = args
     rows = []
     for index in range(start, stop):
         weights = _sample_weights(seed, k, index)
-        measure = Measure(weights=weights, mode=FLOAT, normalized=True)
-        report = is_flat(measure)
-        _, worst = _worst_subset(report)
-        rows.append(SampleRow(index=index, weights=weights,
-                              verdict=report.classification.letter,
-                              worst_value=None if worst is None else float(worst)))
+        report = is_flat(Measure(weights=weights, mode=FLOAT, normalized=True))
+        rows.append(SampleRow(index=index, weights=weights, verdict=report.letter,
+                              worst_value=float(report.worst[1]) if worst else None))
     return rows
 
 
@@ -234,8 +223,9 @@ def sample_simplex(k: int, count: int, seed: int = 0, jobs: int = 1,
                    keep_rows: bool = False):
     """Classify ``count`` uniform draws from the k-simplex.
 
-    Returns a SampleSummary, or (summary, rows) with ``keep_rows``.  Results
-    are bit-identical for a given seed regardless of ``jobs``.
+    Returns a SampleSummary, or (summary, rows) with ``keep_rows``; only then
+    is each draw's worst subset searched for.  Results are bit-identical for
+    a given seed regardless of ``jobs``.
     """
     if k < 3:
         raise ValueError(f"sampling needs k >= 3 (four atoms), got k={k}")
@@ -246,10 +236,11 @@ def sample_simplex(k: int, count: int, seed: int = 0, jobs: int = 1,
     seed = int(seed)
 
     if jobs == 1 or count < 4 * jobs:
-        rows = _sample_chunk((seed, k, 0, count))
+        rows = _sample_chunk((seed, k, 0, count, keep_rows))
     else:
         bounds = np.linspace(0, count, jobs + 1, dtype=int)
-        chunks = [(seed, k, int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:])]
+        chunks = [(seed, k, int(a), int(b), keep_rows)
+                  for a, b in zip(bounds[:-1], bounds[1:])]
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             rows = [row for chunk in pool.map(_sample_chunk, chunks) for row in chunk]
 

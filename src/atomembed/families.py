@@ -15,9 +15,9 @@ from typing import List, Optional, Sequence, Tuple
 from .measure import Measure, validate_measure
 from .scalars import Scalar, parse_scalar
 
-#: Largest supported number of Bernoulli trials, i.e. 65 atoms.  Only
-#: ``family`` and ``det`` are practical at that size: the subset sweep behind
-#: classification is exponential in the atom count and never finishes there.
+#: Largest supported number of Bernoulli trials, i.e. 65 atoms.  Verdicts
+#: come from the full set's criterion, so classification is practical at that
+#: size; only ``check``, which prints a row per subset, refuses over 20 atoms.
 MAX_TRIALS = 64
 
 

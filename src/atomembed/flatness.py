@@ -3,16 +3,39 @@
 A finite metric space is flat when every simplex of its points has a
 nonnegative triple-product Gram determinant; a flat space of dimension N
 embeds isometrically in R^N and in no smaller Euclidean space.  For atom
-spaces every pair and every triple passes automatically, so only subsets of
-four or more atoms are checked, via the scale-free reduced criterion.
+spaces every pair and every triple passes automatically, and the sign of a
+subset's determinant is that of the cone criterion
+``(Σz)² − (s−2)·Σz²`` at the reciprocals ``z = 1/x`` of its s atoms.
+
+One value decides the verdict.  The base-0 Gram matrix of all atoms is
+``2·diag(x²) − 2·x xᵀ + v vᵀ``: a positive definite matrix minus one
+rank-one term, plus a positive semidefinite one, so it has at most one
+negative eigenvalue (Weyl), and its determinant is a positive multiple of
+the full-set criterion.  Hence the measure is flat exactly when the
+full-set criterion is >= 0, with dimension k when it is positive and k-1
+when it is zero (Haynsworth inertia additivity; Schoenberg's test).  It
+follows that failing subsets are closed under supersets and positive
+subsets under subsets.
+
+Everything else is found by search over the atoms sorted by z, never by
+enumeration.  For s >= 4 the criterion is concave in each coordinate (the
+square of one z enters with coefficient -(s-3)), so among the subsets that
+extend a fixed set of atoms by r more from a pool, the smallest value is
+taken by one of the r+1 "extreme" completions: the i smallest and r-i
+largest z of the pool.  The witness and the worst subset come from a greedy
+lexicographic construction over that primitive; the dimension of a measure
+that is not flat is the longest positive window of sorted z.  The searches
+run only when their result is read.  :func:`criterion_table` keeps the
+brute-force enumeration for ``check``'s printed table and for tests.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
-from typing import Dict, Iterator, Optional, Tuple
+from typing import Callable, Dict, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -40,39 +63,165 @@ class Classification:
         return {"embeddable": "E", "not_embeddable": "N", "indeterminate": "I"}[self.verdict]
 
 
-@dataclass(frozen=True)
-class FlatnessReport:
-    """Outcome of the subset sweep.
+class _Values(dict):
+    """Criterion values by atom subset; looking up a new subset evaluates it."""
 
-    ``witness`` is the first failing subset in (size, lexicographic) order,
-    or None when the measure is flat.  ``subset_values`` maps every checked
-    subset to its criterion value in the same deterministic order;
-    ``boundary`` lists float-mode subsets whose value was too close to zero
-    to trust the sign.  ``dimension`` is the largest n such that some
-    checked (n+1)-subset is strictly positive, at least min(k, 2).
+    def __init__(self, zs: Tuple[Scalar, ...]):
+        super().__init__()
+        self.zs = zs
+        self.signs: Dict[AtomSubset, str] = {}
+
+    def __missing__(self, sub: AtomSubset) -> Scalar:
+        value, self.signs[sub] = criterion_sign([self.zs[i] for i in sub])
+        self[sub] = value
+        return value
+
+    def sign(self, sub: AtomSubset) -> str:
+        self[sub]  # evaluates the subset if it is new
+        return self.signs[sub]
+
+
+def _extremes(pool: Sequence[int], r: int) -> Iterator[Tuple[int, ...]]:
+    """The r+1 ways to take the i smallest and r-i largest of ``pool`` (sorted by z)."""
+    for i in range(r + 1):
+        yield tuple(pool[:i]) + tuple(pool[len(pool) - r + i:])
+
+
+def _nan_last(value: Scalar) -> Scalar:
+    """Sort key that puts a NaN float value after every number."""
+    return value if value == value else math.inf
+
+
+class FlatnessReport:
+    """Outcome of the flatness check, with its searches run on first access.
+
+    ``flat`` and ``boundary`` come from the full atom set alone, or with
+    ``full_set_only`` from each lexicographic prefix (0..s-1), s >= 4:
+    ``boundary`` lists those of them whose float value lies inside the
+    margin.  ``witness`` is the first failing subset in (size, lexicographic)
+    order, or None when the measure is flat.  ``dimension`` is the largest n
+    such that some (n+1)-subset is strictly positive, at least min(k, 2).
+    ``worst`` is the subset of least criterion value (first in (size, lex)
+    order on ties) with that value.  ``subset_values`` maps each subset
+    evaluated so far to its value, and evaluates any other subset looked up
+    in it; ``checked_count`` is the number evaluated so far.
     """
 
-    flat: bool
-    witness: Optional[AtomSubset]
-    subset_values: Dict[AtomSubset, Scalar]
-    checked_count: int
-    boundary: Tuple[AtomSubset, ...]
-    mode: str
-    dimension: int
+    def __init__(self, m: Measure, full_set_only: bool = False):
+        self.mode = m.mode
+        self.subset_values = _Values(m.reciprocals())
+        self._size = m.size
+        self._prefixes = full_set_only
+        if full_set_only:
+            self._decided = list(checked_subsets(m.size, True))
+        else:  # the full set alone, once it has four atoms
+            self._decided = [tuple(range(m.size))] if m.size >= 4 else []
+        signs = [self.subset_values.sign(sub) for sub in self._decided]
+        self.flat = "negative" not in signs
+        self.boundary = tuple(sub for sub, sign in zip(self._decided, signs)
+                              if sign == "boundary")
+
+    @property
+    def checked_count(self) -> int:
+        return len(self.subset_values)
+
+    @property
+    def letter(self) -> str:
+        """E, N or I: a failing subset wins over boundary subsets."""
+        return "N" if not self.flat else "I" if self.boundary else "E"
+
+    @property
+    def reason(self) -> Optional[str]:
+        """Why the verdict is indeterminate, or None when it is not."""
+        if self.letter != "I":
+            return None
+        return (f"criterion value for subset {self.boundary[0]} lies inside "
+                f"the float boundary margin; supply rational weights for "
+                f"an exact verdict")
 
     @property
     def classification(self) -> Classification:
-        """The verdict: a failing subset wins over boundary subsets."""
-        if not self.flat:
+        letter = self.letter
+        if letter == "N":
             return Classification(verdict="not_embeddable", witness=self.witness)
-        if self.boundary:
-            return Classification(
-                verdict="indeterminate",
-                reason=f"criterion value for subset {self.boundary[0]} lies inside "
-                       f"the float boundary margin; supply rational weights for "
-                       f"an exact verdict",
-            )
+        if letter == "I":
+            return Classification(verdict="indeterminate", reason=self.reason)
         return Classification(verdict="embeddable", dimension=self.dimension)
+
+    @cached_property
+    def _order(self) -> Tuple[int, ...]:
+        zs = self.subset_values.zs
+        return tuple(sorted(range(self._size), key=zs.__getitem__))
+
+    @cached_property
+    def witness(self) -> Optional[AtomSubset]:
+        if self.flat:
+            return None
+        sign = self.subset_values.sign
+        if self._prefixes:
+            return next(sub for sub in self._decided if sign(sub) == "negative")
+        return self._first(lambda sub: sign(sub) == "negative")
+
+    @cached_property
+    def dimension(self) -> int:
+        n, sign = self._size, self.subset_values.sign
+        if n < 4:
+            return n - 1
+        if self._prefixes:
+            return max([2] + [len(sub) - 1 for sub in self._decided
+                              if sign(sub) == "positive"])
+        full = sign(self._decided[0])
+        if full == "positive":
+            return n - 1
+        if full == "zero":  # the Gram matrix is semidefinite of rank k-1
+            return n - 2
+        # positive subsets are closed under subsets, and a positive subset
+        # slides to a positive window of sorted z: two pointers find the longest
+        order, lo, longest = self._order, 0, 3
+        for hi in range(4, n + 1):
+            while hi - lo >= 4 and sign(tuple(sorted(order[lo:hi]))) != "positive":
+                lo += 1
+            longest = max(longest, hi - lo)
+        return longest - 1
+
+    @cached_property
+    def worst(self) -> Tuple[Optional[AtomSubset], Optional[Scalar]]:
+        values = self.subset_values
+        if self._size < 4:
+            return None, None
+        if self._prefixes or not self.flat:
+            # adding an atom to a negative subset S lowers its value (to at
+            # most v(S)·(|S|-1)/(|S|-2)), so a failing measure's worst subset
+            # is its full set
+            sub = min(self._decided, key=lambda s: _nan_last(values[s]))
+            return sub, values[sub]
+        least = min(_nan_last(values[tuple(sorted(sub))])
+                    for s in range(4, self._size + 1)
+                    for sub in _extremes(self._order, s))
+        sub = self._first(lambda s: _nan_last(values[s]) <= least)
+        return sub, values[sub]
+
+    def _first(self, hit: Callable[[AtomSubset], bool]) -> AtomSubset:
+        """The (size, lex)-first subset of >= 4 atoms on which ``hit`` holds.
+
+        ``hit`` reads the criterion value, and holds for some completion of a
+        set of atoms only if it holds for an extreme one: true of "negative"
+        and of "at most v" because the criterion is concave in each z.
+        """
+        order, n = self._order, self._size
+        size = next(s for s in range(4, n + 1)
+                    if any(hit(tuple(sorted(sub))) for sub in _extremes(order, s)))
+
+        def extends(prefix: AtomSubset, r: int) -> bool:
+            """Whether r more atoms after the prefix's last make ``hit`` hold."""
+            pool = [i for i in order if i > prefix[-1]]
+            return any(hit(tuple(sorted(prefix + rest))) for rest in _extremes(pool, r))
+
+        chosen: AtomSubset = ()
+        for r in range(size - 1, -1, -1):  # atoms left to choose after the next
+            start = chosen[-1] + 1 if chosen else 0
+            chosen += (next(a for a in range(start, n - r) if extends(chosen + (a,), r)),)
+        return chosen
 
 
 def checked_subsets(size: int, full_set_only: bool = False) -> Iterator[AtomSubset]:
@@ -89,36 +238,27 @@ def checked_subsets(size: int, full_set_only: bool = False) -> Iterator[AtomSubs
             yield from combinations(range(size), s)
 
 
+def criterion_table(m: Measure, full_set_only: bool = False) -> Dict[AtomSubset, Scalar]:
+    """Every checked subset's criterion value, in (size, lexicographic) order.
+
+    This is the brute-force enumeration: 2^(k+1) subsets, less the pairs and
+    triples.  ``check`` prints it; verdicts come from :func:`is_flat`.
+    """
+    zs = m.reciprocals()
+    return {sub: criterion_sign([zs[i] for i in sub])[0]
+            for sub in checked_subsets(m.size, full_set_only)}
+
+
 def is_flat(m: Measure, full_set_only: bool = False) -> FlatnessReport:
-    """Check every atom subset of size >= 4 and report the verdict.
+    """Decide flatness from the full atom set's criterion sign.
 
     Pairs and triples are flat unconditionally, so a measure on two or three
-    atoms is flat with nothing checked.  The reciprocals are taken once; each
-    subset's value and sign come from one :func:`criterion_sign` call: exact
-    in exact mode, with the boundary margin in float mode.
+    atoms is flat with nothing checked.  The reciprocals are taken once, and
+    each subset's value and sign come from one :func:`criterion_sign` call:
+    exact in exact mode, with the boundary margin in float mode.  With
+    ``full_set_only`` every lexicographic prefix is checked instead.
     """
-    values: Dict[AtomSubset, Scalar] = {}
-    witness: Optional[AtomSubset] = None
-    boundary = []
-    dim = min(m.size - 1, 2)
-    zs = m.reciprocals()
-    for sub in checked_subsets(m.size, full_set_only):
-        values[sub], sign = criterion_sign([zs[i] for i in sub])
-        if sign == "boundary":
-            boundary.append(sub)
-        elif sign == "negative":
-            witness = witness or sub
-        elif sign == "positive":
-            dim = max(dim, len(sub) - 1)
-    return FlatnessReport(
-        flat=witness is None,
-        witness=witness,
-        subset_values=values,
-        checked_count=len(values),
-        boundary=tuple(boundary),
-        mode=m.mode,
-        dimension=dim,
-    )
+    return FlatnessReport(m, full_set_only)
 
 
 def dimension(m: Measure, report: Optional[FlatnessReport] = None) -> int:
@@ -135,9 +275,9 @@ def classify(m: Measure, full_set_only: bool = False) -> Classification:
     """Embeddability of the atom space of the measure.
 
     Flat measures are embeddable with their dimension; a failing subset is
-    returned as the witness otherwise.  Float-mode measures whose every
-    failure candidate sits inside the boundary margin come back indeterminate
-    since no exact recomputation is possible for float data.
+    returned as the witness otherwise.  A float-mode measure whose full-set
+    value sits inside the boundary margin is indeterminate, since no exact
+    recomputation is possible for float data.
     """
     return is_flat(m, full_set_only=full_set_only).classification
 
@@ -203,6 +343,7 @@ __all__ = [
     "FlatnessReport",
     "Classification",
     "checked_subsets",
+    "criterion_table",
     "is_flat",
     "dimension",
     "classify",

@@ -13,7 +13,7 @@ provided and cross-checked:
 
 The sign, which is all that classification needs, is that of the cone
 criterion (sum z)^2 - (n-1) sum z^2 at the reciprocals z = 1/x, taken once
-per measure.  :func:`criterion_sign`, shared by the flatness sweep and
+per measure.  :func:`criterion_sign`, shared by the flatness route and
 ``det``, forms one pair of power sums per subset (exact over Fractions,
 math.fsum over floats) and returns the value with its sign; the other
 criterion functions are validating wrappers over the same sums.
@@ -368,7 +368,14 @@ def cone_criterion(zs: Sequence[Scalar]) -> Scalar:
 def criterion_scale(xs: Sequence[Scalar]) -> float:
     """Natural magnitude of the reduced criterion before cancellation."""
     xs = _checked(xs, "criterion scale", "weights")
-    s1, s2 = _power_sums([1.0 / float(x) for x in xs])
+    zs = []
+    for i, x in enumerate(xs):
+        try:
+            zs.append(1.0 / float(x))
+        except (OverflowError, ZeroDivisionError) as exc:
+            raise GramError(f"weight at index {i} is beyond double range; "
+                            f"the criterion scale is a float quantity") from exc
+    s1, s2 = _power_sums(zs)
     return s1 * s1 + (len(xs) - 2) * s2
 
 

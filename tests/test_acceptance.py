@@ -22,6 +22,7 @@ from atomembed import (
     cone_criterion,
     cone_half_angle_cos,
     cone_membership,
+    criterion_table,
     det_closed_form,
     det_lemma_route,
     det_numeric,
@@ -85,8 +86,9 @@ def test_c1_stated_witness_and_subset_claims():
     is 6.  The failing subsets are (0,1,2,3), (0,2,3,4), (1,2,3,5) and
     (2,3,4,5) among size 4, all six of size 5 and the full set (-41/25).
     The witness is the first of them in (size, lex) order, every one is
-    negative by all three determinant routes, and the report's values are
-    the unit-scale criterion times 32^2 (the criterion has degree -2)."""
+    negative by all three determinant routes, and the values in the
+    criterion table and the report are the unit-scale criterion times 32^2
+    (the criterion has degree -2)."""
     counts = [math.comb(5, i) for i in range(6)]
 
     def unit_criterion(sub):
@@ -115,15 +117,16 @@ def test_c1_stated_witness_and_subset_claims():
 
     per_size = {s: sum(len(sub) == s for sub in expected_failing)
                 for s in range(4, 7)}
-    reported_failing = {sub for sub, value in rep.subset_values.items()
-                        if value < 0}
+    table = criterion_table(m)
+    reported_failing = {sub for sub, value in table.items() if value < 0}
     report(
         "C1-witness",
         first_failing == (0, 1, 2, 3)
         and rep.witness == first_failing
         and reported_failing == expected_failing
         and per_size == {4: 4, 5: 6, 6: 1}
-        and rep.subset_values[(0, 1, 2, 3)] == Fraction(-4, 25) * 32 ** 2,
+        and table[(0, 1, 2, 3)] == Fraction(-4, 25) * 32 ** 2
+        and rep.subset_values[(0, 1, 2, 3)] == table[(0, 1, 2, 3)],
         f"witness {rep.witness}, criterion -4/25 at unit scale; "
         f"failing subsets by size {per_size}",
     )

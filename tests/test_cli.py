@@ -99,6 +99,27 @@ class TestCheckAndClassify:
         assert code == 0
         assert json.loads(out)["checked_count"] == 3
 
+    def test_check_refuses_a_table_over_a_million_rows(self, capsys, tmp_path, monkeypatch):
+        path = write_measure(tmp_path, "b20.json", [str(math.comb(20, i)) for i in range(21)])
+
+        def no_table(*args, **kwargs):
+            raise AssertionError("a row was built")
+
+        monkeypatch.setattr("atomembed.cli.criterion_table", no_table)
+        code, out, err = run(capsys, "check", path)
+        assert code == 1 and out == ""
+        rows = 2 ** 21 - 1 - 21 - 210 - 1330
+        assert err == (f"atomembed: error: check would print {rows} subset rows for "
+                       f"21 atoms (at most 1048576); use classify for the verdict\n")
+        code, out, _ = run(capsys, "classify", path)
+        assert code == 0 and json.loads(out)["witness"] == [0, 1, 2, 3]
+
+    def test_check_prints_the_prefixes_of_many_atoms(self, capsys, tmp_path):
+        path = write_measure(tmp_path, "b20.json", [str(math.comb(20, i)) for i in range(21)])
+        code, out, _ = run(capsys, "check", path, "--full-set-only")
+        doc = json.loads(out)
+        assert code == 0 and doc["checked_count"] == 18 and doc["verdict"] == "not_embeddable"
+
     def test_classify_uniform(self, capsys, uniform4):
         code, out, _ = run(capsys, "classify", uniform4)
         assert code == 0

@@ -20,7 +20,7 @@ from atomembed import (
     validate_measure,
     verify_isometry,
 )
-from conftest import rational_measure
+from conftest import rational_measure, zero_criterion_weights
 
 
 class TestEmbed:
@@ -126,19 +126,6 @@ class TestEmbed:
             embedded += 1
             assert result.max_residual <= 1e-8
         assert embedded > 30
-
-
-def zero_criterion_weights(z1, z2, excess):
-    """Four weights on the boundary: their reduced criterion is exactly 0.
-
-    In z = 1/x the 4-atom criterion vanishes at z4 = z1 + z2 + z3 + 2 sqrt(e2)
-    with e2 = z1 z2 + z1 z3 + z2 z3; z3 > 0 is chosen so that e2 = t^2 with
-    t = z1 + z2 + excess.
-    """
-    t = z1 + z2 + excess
-    z3 = (t * t - z1 * z2) / (z1 + z2)
-    zs = (z1, z2, z3, z1 + z2 + z3 + 2 * t)
-    return [1 / z for z in zs]
 
 
 rationals = st.builds(Fraction, st.integers(1, 40), st.integers(1, 40))

@@ -1,4 +1,5 @@
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -12,6 +13,7 @@ from atomembed import (
     cone_axis_cos,
     cone_half_angle_cos,
     cone_membership,
+    criterion_table,
     det_numeric,
     dimension,
     gram_matrix,
@@ -49,14 +51,19 @@ class TestIsFlat:
     def test_binomial_five_not_flat(self):
         report = is_flat(binom(5))
         assert not report.flat
+        # the verdict is the full set's sign: one subset evaluated
+        assert report.checked_count == 1
         # first failing subset in (size, lex) order; the weight multiset
         # (1,5,10,10)/32 has criterion -4/25 at unit scale
         assert report.witness == (0, 1, 2, 3)
-        assert report.checked_count == 15 + 6 + 1
+        # the size-4 search evaluates extreme candidates until the fourth,
+        # (1, 2, 3, 5), fails; the greedy adds (0, 1, 2, 3) and (0, 1, 2, 5)
+        assert report.checked_count == 1 + 4 + 2
+        assert len(criterion_table(binom(5))) == 15 + 6 + 1
 
     def test_binomial_five_failing_subsets(self):
-        report = is_flat(binom(5))
-        failures = {s for s, v in report.subset_values.items() if v < 0}
+        table = criterion_table(binom(5))
+        failures = {s for s, v in table.items() if v < 0}
         assert failures == {
             (0, 1, 2, 3), (0, 2, 3, 4), (1, 2, 3, 5), (2, 3, 4, 5),
             (0, 1, 2, 3, 4), (0, 1, 2, 3, 5), (0, 1, 2, 4, 5),
@@ -71,8 +78,7 @@ class TestIsFlat:
         assert report.subset_values[(0, 1, 2, 3, 4, 5)] == Fraction(-41, 25) * 32 ** 2
 
     def test_subset_order_is_size_then_lex(self):
-        report = is_flat(validate_measure([1, 1, 1, 1, 1]))
-        subs = list(report.subset_values)
+        subs = list(criterion_table(validate_measure([1, 1, 1, 1, 1])))
         assert subs == sorted(subs, key=lambda s: (len(s), s))
         assert subs[0] == (0, 1, 2, 3)
         assert subs[-1] == (0, 1, 2, 3, 4)
@@ -153,6 +159,15 @@ class TestClassify:
     def test_binomial_family_flips_once_at_five(self):
         verdicts = [classify(binom(n)).verdict for n in (2, 3, 4, 5)]
         assert verdicts == ["embeddable"] * 3 + ["not_embeddable"]
+
+    def test_binomial_sixty_four_is_decided_fast(self):
+        # 65 atoms: 2^65 subsets could never be enumerated, and the full-set
+        # route takes milliseconds; the witness is the first failing 4-subset
+        start = time.perf_counter()
+        cls = classify(binom(64))
+        assert cls.verdict == "not_embeddable"
+        assert cls.witness == (0, 1, 2, 3)
+        assert time.perf_counter() - start < 10
 
     def test_checked_subsets_helper(self):
         assert list(checked_subsets(4)) == [(0, 1, 2, 3)]

@@ -13,6 +13,7 @@ from atomembed import (
     atom_gram_matrix,
     atom_metric,
     cone_criterion,
+    criterion_scale,
     det_closed_form,
     det_lemma_route,
     det_numeric,
@@ -318,6 +319,14 @@ class TestReducedCriterion:
     def test_requires_three_values(self):
         with pytest.raises(GramError):
             reduced_criterion([Fraction(1), Fraction(2)])
+
+    @pytest.mark.parametrize("weight", [Fraction(1, 10**400), Fraction(10**400)])
+    def test_scale_refuses_weights_beyond_double_range(self, weight):
+        # 1/float(x) divides by zero for the tiny weight; float(x) overflows
+        # for the huge one
+        with pytest.raises(GramError, match="weight at index 3 is beyond double range"):
+            criterion_scale([1, 1, 1, weight])
+        assert criterion_scale([1, 1, 1, 1]) == 16 + 2 * 4
 
 
 class TestSignVerdict:

@@ -1,9 +1,11 @@
-"""One sweep, one sign rule: every verdict comes from a single FlatnessReport.
+"""One route, one sign rule: every verdict comes from the full-set criterion.
 
 The reference below enumerates the subsets itself and decides each sign
-exactly (exact mode) or through ``sign_verdict`` (float mode); ``classify``,
-``is_flat``, ``dimension`` and the letters of ``sweep`` and ``sample`` must
-all agree with it.  The counting tests pin that each command sweeps once.
+exactly (exact mode) or through ``sign_verdict`` (float mode).  The
+full-set route behind ``is_flat`` (the verdict from one value, the witness,
+dimension and worst subset from searches over sorted reciprocals) must
+agree with it for ``classify``, ``is_flat``, ``dimension``, ``sweep`` and
+``sample``.  The counting tests pin how many subsets each command evaluates.
 """
 
 import json
@@ -24,6 +26,7 @@ from atomembed import (
     checked_subsets,
     classify,
     criterion_scale,
+    criterion_table,
     dimension,
     is_flat,
     reduced_criterion,
@@ -33,14 +36,14 @@ from atomembed import (
     validate_measure,
 )
 from atomembed.cli import main
+from conftest import zero_criterion_weights
 
 LETTER = {"embeddable": "E", "not_embeddable": "N", "indeterminate": "I"}
 _T = 3.0 + 2.0 * math.sqrt(3.0)
 
 
-def reference(m):
-    """(verdict, witness, dimension, boundary) by plain enumeration."""
-    witness, boundary, dim = None, [], min(m.size - 1, 2)
+def enumerate_signs(m):
+    """(subset, value, sign) for every subset of >= 4 atoms, (size, lex) order."""
     for size in range(4, m.size + 1):
         for sub in combinations(range(m.size), size):
             xs = [m.weights[i] for i in sub]
@@ -50,20 +53,42 @@ def reference(m):
                 value = s1 * s1 - (size - 2) * s2
                 sign = "positive" if value > 0 else "negative" if value < 0 else "zero"
             else:
-                sign = sign_verdict(reduced_criterion(xs), criterion_scale(xs), FLOAT)
-            if sign == "negative" and witness is None:
-                witness = sub
-            elif sign == "boundary":
-                boundary.append(sub)
-            elif sign == "positive":
-                dim = size - 1
+                value = reduced_criterion(xs)
+                sign = sign_verdict(value, criterion_scale(xs), FLOAT)
+            yield sub, value, sign
+
+
+def reference(m):
+    """(verdict, witness, dimension, boundary) by plain enumeration.
+
+    ``boundary`` is what the full-set route reports: the full set when its
+    own float value lies inside the margin, else nothing.
+    """
+    witness, boundary, dim, full_sign = None, [], min(m.size - 1, 2), None
+    for sub, _, sign in enumerate_signs(m):
+        if sign == "negative" and witness is None:
+            witness = sub
+        elif sign == "boundary":
+            boundary.append(sub)
+        elif sign == "positive":
+            dim = len(sub) - 1
+        full_sign = sign
     if witness is not None:
         verdict = "not_embeddable"
     elif boundary:
         verdict = "indeterminate"
     else:
         verdict = "embeddable"
-    return verdict, witness, dim, tuple(boundary)
+    return verdict, witness, dim, ((tuple(range(m.size)),) if full_sign == "boundary" else ())
+
+
+def reference_worst(m):
+    """(subset, value) of the least value, the first in (size, lex) order on ties."""
+    worst = (None, None)
+    for sub, value, _ in enumerate_signs(m):
+        if worst[1] is None or value < worst[1]:
+            worst = (sub, value)
+    return worst
 
 
 def assert_matches_reference(m):
@@ -126,21 +151,22 @@ def formula(xs):
 @example(["1", "1", "1", "1/3", "1/6"])  # criterion exactly 0 on (0,1,2,3,4)
 def test_sweep_values_equal_the_formula(weights):
     m = validate_measure(weights)
+    table = criterion_table(m)
     report = is_flat(m)
-    assert list(report.subset_values) == list(checked_subsets(m.size))
-    witness, boundary, dim = None, [], min(m.size - 1, 2)
-    for sub, got in report.subset_values.items():
+    assert list(table) == list(checked_subsets(m.size))
+    witness, dim, sign = None, min(m.size - 1, 2), None
+    for sub, got in table.items():
         value, sign = formula([m.weights[i] for i in sub])
         assert got == value and type(got) is type(value)
+        assert report.subset_values[sub] == got
         if sign == "negative":
             witness = witness or sub
-        elif sign == "boundary":
-            boundary.append(sub)
         elif sign == "positive":
             dim = max(dim, len(sub) - 1)
     assert report.witness == witness
     assert report.flat is (witness is None)
-    assert report.boundary == tuple(boundary)
+    # the full set comes last: the route reports it alone as boundary
+    assert report.boundary == ((tuple(range(m.size)),) if sign == "boundary" else ())
     assert report.dimension == dim
 
 
@@ -178,6 +204,21 @@ COUNT_INPUTS = {
     "float_flat": [0.15, 0.17, 0.16, 0.18, 0.17, 0.17],
     "float_boundary": [1.0, 1.0, 1.0, 1.0 / _T],
 }
+#: Kernel calls of the route behind each command, by input and flag.  The
+#: full-set route takes one for the verdict; `classify` adds the witness
+#: search of a failing measure (the 6 evaluations that find (0, 1, 2, 3)),
+#: and `check` also the dimension's window search (4 more).  The prefix route
+#: of --full-set-only evaluates its k-2 prefixes and nothing else.
+ROUTE_CALLS = {
+    ("classify", False): {"exact_flat": 1, "exact_not_flat": 7,
+                          "float_flat": 1, "float_boundary": 1},
+    ("check", False): {"exact_flat": 1, "exact_not_flat": 11,
+                       "float_flat": 1, "float_boundary": 1},
+    ("classify", True): {"exact_flat": 7, "exact_not_flat": 3,
+                         "float_flat": 3, "float_boundary": 1},
+    ("check", True): {"exact_flat": 7, "exact_not_flat": 3,
+                      "float_flat": 3, "float_boundary": 1},
+}
 
 
 @pytest.mark.parametrize("flag", [[], ["--full-set-only"]])
@@ -188,9 +229,15 @@ def test_each_command_sweeps_once(command, name, flag, counted, tmp_path, capsys
     path = tmp_path / "m.json"
     path.write_text(json.dumps({"weights": weights}))
     main([command, str(path), *flag])
-    capsys.readouterr()
-    checked = sum(1 for _ in checked_subsets(len(weights), bool(flag)))
-    assert counted["criterion"] == checked
+    doc = json.loads(capsys.readouterr().out)
+    route = ROUTE_CALLS[command, bool(flag)][name]
+    if command == "check":
+        # the printed table is the enumeration, evaluated once more
+        rows = sum(1 for _ in checked_subsets(len(weights), bool(flag)))
+        assert doc["checked_count"] == rows
+        assert counted["criterion"] == rows + route
+    else:
+        assert counted["criterion"] == route
 
 
 def test_dimension_reads_the_report(counted):
@@ -200,3 +247,82 @@ def test_dimension_reads_the_report(counted):
     assert swept == report.checked_count > 0
     assert dimension(m, report) == report.dimension == 9
     assert counted["criterion"] == swept
+
+
+# -- the full-set route against the enumeration --------------------------------
+
+def assert_route_matches_enumeration(m):
+    """Verdict, witness, dimension, boundary and worst subset all equal the oracle."""
+    assert_matches_reference(m)
+    worst = reference_worst(m)
+    report = is_flat(m)
+    assert report.worst == worst
+    assert type(report.worst[1]) is type(worst[1])
+    (row,) = sweep([(0, m)])
+    assert (row.witness, row.worst_value) == worst
+
+
+small_integers = st.lists(st.integers(1, 4), min_size=4, max_size=10)
+binomial_rows = st.integers(3, 9).map(lambda n: [math.comb(n, i) for i in range(n + 1)])
+zero_points = st.builds(zero_criterion_weights, rationals, rationals, rationals)
+zero_points_and_more = st.builds(lambda zero, more: zero + more,
+                                 zero_points, st.lists(rationals, max_size=5))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(st.lists(rationals, min_size=4, max_size=10), small_integers,
+                 binomial_rows, zero_points, zero_points_and_more,
+                 st.lists(near_uniform, min_size=4, max_size=10)))
+@example([1, 1, "1/4", "1/12"])  # full criterion exactly 0: dimension k-1 = 2
+@example([1, 1, 1, "1/3", "1/6"])  # full criterion exactly 0: dimension 3
+@example([1] * 10)  # every subset of a size ties: lex-first worst (0, 1, 2, 3)
+def test_route_equals_enumeration_exact(weights):
+    assert_route_matches_enumeration(validate_measure(weights))
+
+
+def perturbed(weights, factors):
+    return [float(w) * (1.0 + f) for w, f in zip(weights, factors)]
+
+
+ulp_factors = st.lists(st.sampled_from([0.0, 2e-16, -2e-16, 1e-12, -1e-12, 1e-10, -1e-10,
+                                        1e-9, -1e-9, 1e-8]), min_size=4, max_size=4)
+near_boundary = st.builds(lambda zero, f, more: perturbed(zero, f) + more,
+                          zero_points, ulp_factors,
+                          st.lists(st.floats(0.05, 1.0), max_size=4))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(float_weights, near_boundary))
+@example([1.0, 1.0, 1.0, 1.0 / _T])  # the full set inside the margin
+@example([1.0, 1.0, 1.0, 1.0 / (_T * (1 + 1e-8))])  # just outside it
+@example([1.0, 1.0, 1.0, 1.0 / _T, 0.01])  # (0,1,2,3) in the margin, the full set fails
+def test_route_equals_enumeration_float(weights):
+    assert_route_matches_enumeration(validate_measure(weights))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(exact_weights, small_integers, binomial_rows, zero_points_and_more,
+                 float_weights, near_boundary))
+def test_full_set_only_gives_the_full_verdict(weights):
+    m = validate_measure(weights)
+    assert is_flat(m, full_set_only=True).letter == is_flat(m).letter
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(exact_weights, small_integers, binomial_rows, zero_points_and_more))
+def test_failing_subsets_are_closed_under_supersets(weights):
+    m = validate_measure(weights)
+    failing = {sub for sub, value in criterion_table(m).items() if value < 0}
+    for sub in failing:
+        for atom in set(range(m.size)) - set(sub):
+            assert tuple(sorted(sub + (atom,))) in failing
+
+
+def test_sample_draw_makes_one_call(counted):
+    summary = sample_simplex(8, 1, seed=0)
+    assert summary.not_embeddable == 1
+    assert counted["criterion"] == 1
+    counted.clear()
+    summary = sample_simplex(8, 40, seed=0)
+    assert summary.embeddable > 0 and summary.not_embeddable > 0
+    assert counted["criterion"] == 40
