@@ -27,7 +27,6 @@ from .explorer import (
     SweepRow,
     bisect_boundary,
     mixture,
-    recompute_worst,
     sample_simplex,
     sweep,
 )
@@ -61,7 +60,6 @@ from .gram import (
     adjugate,
     appendix_decomposition,
     atom_gram_matrix,
-    cone_criterion,
     criterion_scale,
     criterion_sign,
     det_closed_form,

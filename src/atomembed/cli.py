@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import os
@@ -159,13 +160,12 @@ MAX_CHECK_ROWS = 2 ** 20
 
 def _cmd_check(args) -> int:
     m = _load(args.measure, args)
-    rows = (max(m.size - 3, 0) if args.full_set_only
-            else sum(math.comb(m.size, s) for s in range(4, m.size + 1)))
+    rows = sum(math.comb(m.size, s) for s in range(4, m.size + 1))
     if rows > MAX_CHECK_ROWS:
         raise CliError(f"check would print {rows} subset rows for {m.size} atoms "
                        f"(at most {MAX_CHECK_ROWS}); use classify for the verdict")
-    report = is_flat(m, full_set_only=args.full_set_only)
-    table = criterion_table(m, full_set_only=args.full_set_only)
+    report = is_flat(m)
+    table = criterion_table(m)
     _emit_json({
         "flat": report.flat,
         "witness": list(report.witness) if report.witness else None,
@@ -183,7 +183,7 @@ def _cmd_check(args) -> int:
 
 def _cmd_classify(args) -> int:
     m = _load(args.measure, args)
-    cls = classify(m, full_set_only=args.full_set_only)
+    cls = classify(m)
     _emit_json({
         "verdict": cls.verdict,
         "dimension": cls.dimension,
@@ -281,7 +281,7 @@ def _cmd_sweep(args) -> int:
     grid = family_grid(template, aliases[args.param],
                        _parse_cli_scalar(args.start),
                        _parse_cli_scalar(args.stop), args.steps)
-    rows = sweep(grid, full_set_only=args.full_set_only)
+    rows = sweep(grid)
     csv_rows = [
         [
             format_decimal(r.parameter),
@@ -351,8 +351,7 @@ def _cmd_bisect(args) -> int:
     result = bisect_boundary(lambda t: mixture(m0, m1, t),
                              Fraction(0), Fraction(1),
                              tol=args.tol, max_iter=args.max_iter,
-                             scan_steps=args.scan,
-                             full_set_only=args.full_set_only)
+                             scan_steps=args.scan)
     if args.trace:
         _write_csv(
             [
@@ -399,15 +398,12 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("check", help="flatness report")
     p.add_argument("measure")
-    p.add_argument("--full-set-only", action="store_true",
-                   help="check only lexicographic prefixes instead of all subsets")
     p.add_argument("--out")
     _mode_flags(p)
     p.set_defaults(func=_cmd_check)
 
     p = sub.add_parser("classify", help="embeddability verdict")
     p.add_argument("measure")
-    p.add_argument("--full-set-only", action="store_true")
     p.add_argument("--out")
     _mode_flags(p)
     p.set_defaults(func=_cmd_classify)
@@ -446,7 +442,6 @@ def build_parser() -> _Parser:
     p.add_argument("--start", required=True)
     p.add_argument("--stop", required=True)
     p.add_argument("--steps", type=int, required=True)
-    p.add_argument("--full-set-only", action="store_true")
     p.add_argument("--out", help="write the CSV here (summary JSON to stdout)")
     p.set_defaults(func=_cmd_sweep)
 
@@ -469,7 +464,6 @@ def build_parser() -> _Parser:
     p.add_argument("--max-iter", type=int, default=200)
     p.add_argument("--scan", type=int, default=0,
                    help="coarse pre-scan steps to detect multiple flips")
-    p.add_argument("--full-set-only", action="store_true")
     p.add_argument("--trace", help="write the per-iteration CSV here")
     p.add_argument("--out")
     _mode_flags(p)
@@ -478,8 +472,14 @@ def build_parser() -> _Parser:
     return parser
 
 
+@functools.cache
+def _parser() -> _Parser:
+    """The parser, built on the first call of :func:`main` and reused after it."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     try:
         args = parser.parse_args(argv)
         if not getattr(args, "command", None):

@@ -10,6 +10,7 @@ factorization route is used.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,8 +66,12 @@ def embed(m: Measure, isometry_tol: float = ISOMETRY_TOL) -> EmbeddingResult:
     a flat measure is the rank of the Gram matrix; the spectrum is
     only checked against it.  Raises NotFlatError when the flatness check
     fails (or cannot be decided in float mode), and EmbeddingConsistencyError
-    when the spectrum or the residual contradicts flatness.
+    when the spectrum or the residual contradicts flatness.  A tolerance that
+    is not finite and positive is refused with a ValueError.
     """
+    if not (math.isfinite(isometry_tol) and isometry_tol > 0):
+        raise ValueError(f"isometry tolerance must be finite and positive, "
+                         f"got {isometry_tol}")
     report = is_flat(m)
     if not report.flat:
         raise NotFlatError(

@@ -17,7 +17,6 @@ from typing import Callable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .flatness import is_flat
-from .gram import reduced_criterion
 from .measure import Measure, MeasureError, validate_measure
 from .scalars import FLOAT, Scalar
 
@@ -45,8 +44,7 @@ class SweepRow:
     reason: Optional[str] = None
 
 
-def sweep(grid: Sequence[Tuple[Scalar, Measure]],
-          full_set_only: bool = False) -> List[SweepRow]:
+def sweep(grid: Sequence[Tuple[Scalar, Measure]]) -> List[SweepRow]:
     """Classify every grid point; rows come back in grid order.
 
     Per-point failures do not abort the sweep: the row records an
@@ -55,7 +53,7 @@ def sweep(grid: Sequence[Tuple[Scalar, Measure]],
     rows: List[SweepRow] = []
     for value, measure in grid:
         try:
-            report = is_flat(measure, full_set_only=full_set_only)
+            report = is_flat(measure)
             worst_sub, worst_val = report.worst
             rows.append(SweepRow(parameter=value, verdict=report.letter,
                                  worst_value=worst_val, witness=worst_sub,
@@ -98,8 +96,8 @@ def mixture(m0: Measure, m1: Measure, t: Scalar) -> Measure:
     return validate_measure(weights)
 
 
-def _definite_letter(measure: Measure, full_set_only: bool) -> str:
-    report = is_flat(measure, full_set_only=full_set_only)
+def _definite_letter(measure: Measure) -> str:
+    report = is_flat(measure)
     if report.reason is not None:
         raise ValueError(
             f"indeterminate verdict during bisection ({report.reason}); "
@@ -109,8 +107,7 @@ def _definite_letter(measure: Measure, full_set_only: bool) -> str:
 
 def bisect_boundary(measure_at: Callable[[Scalar], Measure], lo, hi,
                     tol: float = 1e-6, max_iter: int = 200,
-                    scan_steps: int = 0,
-                    full_set_only: bool = False) -> BisectionResult:
+                    scan_steps: int = 0) -> BisectionResult:
     """Bracket a verdict flip along a one-parameter path of measures.
 
     ``measure_at`` maps a parameter value to a Measure.  The endpoints must
@@ -119,14 +116,14 @@ def bisect_boundary(measure_at: Callable[[Scalar], Measure], lo, hi,
     ``scan_steps`` first samples the path uniformly; additional sign changes
     are reported in ``extra_brackets`` and the first one is refined.
     """
-    if tol <= 0:
-        raise ValueError(f"tolerance must be positive, got {tol}")
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tolerance must be finite and positive, got {tol}")
     lo = Fraction(lo) if not isinstance(lo, float) else lo
     hi = Fraction(hi) if not isinstance(hi, float) else hi
     if not lo < hi:
         raise ValueError(f"bisection interval is empty: [{lo}, {hi}]")
-    v_lo = _definite_letter(measure_at(lo), full_set_only)
-    v_hi = _definite_letter(measure_at(hi), full_set_only)
+    v_lo = _definite_letter(measure_at(lo))
+    v_hi = _definite_letter(measure_at(hi))
     if v_lo == v_hi:
         raise NoCrossingError(
             f"both endpoints classify as {v_lo}; nothing to bracket")
@@ -135,7 +132,7 @@ def bisect_boundary(measure_at: Callable[[Scalar], Measure], lo, hi,
     if scan_steps > 1:
         pts = [lo + (hi - lo) * i / scan_steps for i in range(scan_steps + 1)]
         letters = [v_lo] + [
-            _definite_letter(measure_at(p), full_set_only) for p in pts[1:-1]
+            _definite_letter(measure_at(p)) for p in pts[1:-1]
         ] + [v_hi]
         flips = [
             (pts[i], pts[i + 1], letters[i], letters[i + 1])
@@ -149,7 +146,7 @@ def bisect_boundary(measure_at: Callable[[Scalar], Measure], lo, hi,
     trace = []
     while hi - lo > tol and iterations < max_iter:
         mid = (lo + hi) / 2
-        letter = _definite_letter(measure_at(mid), full_set_only)
+        letter = _definite_letter(measure_at(mid))
         trace.append((iterations, lo, hi, mid, letter))
         if letter == v_lo:
             lo = mid
@@ -254,10 +251,3 @@ def sample_simplex(k: int, count: int, seed: int = 0, jobs: int = 1,
                             fraction=frac, ci95_half_width=half_width,
                             seed=seed)
     return (summary, rows) if keep_rows else summary
-
-
-def recompute_worst(measure: Measure, row: SweepRow) -> Scalar:
-    """Direct recomputation of a sweep row's worst value from its witness."""
-    if row.witness is None:
-        raise ValueError("sweep row has no witness subset to recompute")
-    return reduced_criterion(measure.subset_weights(row.witness))

@@ -25,7 +25,8 @@ taken by one of the r+1 "extreme" completions: the i smallest and r-i
 largest z of the pool.  The witness and the worst subset come from a greedy
 lexicographic construction over that primitive; the dimension of a measure
 that is not flat is the longest positive window of sorted z.  The searches
-run only when their result is read.  :func:`criterion_table` keeps the
+run only when their result is read.  This is the only route to a verdict,
+witness, dimension or worst subset; :func:`criterion_table` keeps the
 brute-force enumeration for ``check``'s printed table and for tests.
 """
 
@@ -95,31 +96,26 @@ def _nan_last(value: Scalar) -> Scalar:
 class FlatnessReport:
     """Outcome of the flatness check, with its searches run on first access.
 
-    ``flat`` and ``boundary`` come from the full atom set alone, or with
-    ``full_set_only`` from each lexicographic prefix (0..s-1), s >= 4:
-    ``boundary`` lists those of them whose float value lies inside the
-    margin.  ``witness`` is the first failing subset in (size, lexicographic)
-    order, or None when the measure is flat.  ``dimension`` is the largest n
-    such that some (n+1)-subset is strictly positive, at least min(k, 2).
+    ``flat`` and ``boundary`` come from the full atom set alone: ``boundary``
+    is the full set when its float value lies inside the margin, else empty.
+    ``witness`` is the first failing subset in (size, lexicographic) order,
+    or None when the measure is flat.  ``dimension`` is the largest n such
+    that some (n+1)-subset is strictly positive, at least min(k, 2).
     ``worst`` is the subset of least criterion value (first in (size, lex)
     order on ties) with that value.  ``subset_values`` maps each subset
     evaluated so far to its value, and evaluates any other subset looked up
     in it; ``checked_count`` is the number evaluated so far.
     """
 
-    def __init__(self, m: Measure, full_set_only: bool = False):
+    def __init__(self, m: Measure):
         self.mode = m.mode
         self.subset_values = _Values(m.reciprocals())
         self._size = m.size
-        self._prefixes = full_set_only
-        if full_set_only:
-            self._decided = list(checked_subsets(m.size, True))
-        else:  # the full set alone, once it has four atoms
-            self._decided = [tuple(range(m.size))] if m.size >= 4 else []
-        signs = [self.subset_values.sign(sub) for sub in self._decided]
-        self.flat = "negative" not in signs
-        self.boundary = tuple(sub for sub, sign in zip(self._decided, signs)
-                              if sign == "boundary")
+        self._full = tuple(range(m.size))
+        # pairs and triples are flat: nothing to sign below four atoms
+        sign = self.subset_values.sign(self._full) if m.size >= 4 else None
+        self.flat = sign != "negative"
+        self.boundary = (self._full,) if sign == "boundary" else ()
 
     @property
     def checked_count(self) -> int:
@@ -158,8 +154,6 @@ class FlatnessReport:
         if self.flat:
             return None
         sign = self.subset_values.sign
-        if self._prefixes:
-            return next(sub for sub in self._decided if sign(sub) == "negative")
         return self._first(lambda sub: sign(sub) == "negative")
 
     @cached_property
@@ -167,10 +161,7 @@ class FlatnessReport:
         n, sign = self._size, self.subset_values.sign
         if n < 4:
             return n - 1
-        if self._prefixes:
-            return max([2] + [len(sub) - 1 for sub in self._decided
-                              if sign(sub) == "positive"])
-        full = sign(self._decided[0])
+        full = sign(self._full)
         if full == "positive":
             return n - 1
         if full == "zero":  # the Gram matrix is semidefinite of rank k-1
@@ -189,12 +180,11 @@ class FlatnessReport:
         values = self.subset_values
         if self._size < 4:
             return None, None
-        if self._prefixes or not self.flat:
+        if not self.flat:
             # adding an atom to a negative subset S lowers its value (to at
             # most v(S)·(|S|-1)/(|S|-2)), so a failing measure's worst subset
             # is its full set
-            sub = min(self._decided, key=lambda s: _nan_last(values[s]))
-            return sub, values[sub]
+            return self._full, values[self._full]
         least = min(_nan_last(values[tuple(sorted(sub))])
                     for s in range(4, self._size + 1)
                     for sub in _extremes(self._order, s))
@@ -224,21 +214,13 @@ class FlatnessReport:
         return chosen
 
 
-def checked_subsets(size: int, full_set_only: bool = False) -> Iterator[AtomSubset]:
-    """Subsets of >= 4 atoms in (size, lexicographic) order.
-
-    With ``full_set_only`` only the lexicographic prefixes (0..s-1) are
-    produced, which reproduces the prefix convention of the cone regions
-    rather than quantifying over every choice of points.
-    """
+def checked_subsets(size: int) -> Iterator[AtomSubset]:
+    """Subsets of >= 4 atoms in (size, lexicographic) order."""
     for s in range(4, size + 1):
-        if full_set_only:
-            yield tuple(range(s))
-        else:
-            yield from combinations(range(size), s)
+        yield from combinations(range(size), s)
 
 
-def criterion_table(m: Measure, full_set_only: bool = False) -> Dict[AtomSubset, Scalar]:
+def criterion_table(m: Measure) -> Dict[AtomSubset, Scalar]:
     """Every checked subset's criterion value, in (size, lexicographic) order.
 
     This is the brute-force enumeration: 2^(k+1) subsets, less the pairs and
@@ -246,19 +228,18 @@ def criterion_table(m: Measure, full_set_only: bool = False) -> Dict[AtomSubset,
     """
     zs = m.reciprocals()
     return {sub: criterion_sign([zs[i] for i in sub])[0]
-            for sub in checked_subsets(m.size, full_set_only)}
+            for sub in checked_subsets(m.size)}
 
 
-def is_flat(m: Measure, full_set_only: bool = False) -> FlatnessReport:
+def is_flat(m: Measure) -> FlatnessReport:
     """Decide flatness from the full atom set's criterion sign.
 
     Pairs and triples are flat unconditionally, so a measure on two or three
     atoms is flat with nothing checked.  The reciprocals are taken once, and
     each subset's value and sign come from one :func:`criterion_sign` call:
-    exact in exact mode, with the boundary margin in float mode.  With
-    ``full_set_only`` every lexicographic prefix is checked instead.
+    exact in exact mode, with the boundary margin in float mode.
     """
-    return FlatnessReport(m, full_set_only)
+    return FlatnessReport(m)
 
 
 def dimension(m: Measure, report: Optional[FlatnessReport] = None) -> int:
@@ -271,15 +252,15 @@ def dimension(m: Measure, report: Optional[FlatnessReport] = None) -> int:
     return (report if report is not None else is_flat(m)).dimension
 
 
-def classify(m: Measure, full_set_only: bool = False) -> Classification:
+def classify(m: Measure) -> Classification:
     """Embeddability of the atom space of the measure.
 
-    Flat measures are embeddable with their dimension; a failing subset is
-    returned as the witness otherwise.  A float-mode measure whose full-set
+    Flat measures are embeddable with their dimension; otherwise the first
+    failing subset in (size, lexicographic) order is the witness.  A float-mode measure whose full-set
     value sits inside the boundary margin is indeterminate, since no exact
     recomputation is possible for float data.
     """
-    return is_flat(m, full_set_only=full_set_only).classification
+    return is_flat(m).classification
 
 
 # -- reciprocal-space cone cross-check ----------------------------------------

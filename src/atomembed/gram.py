@@ -347,22 +347,13 @@ def _checked(values, what: str, noun: str) -> Tuple[Scalar, ...]:
 def reduced_criterion(xs: Sequence[Scalar]) -> Scalar:
     """(sum 1/x_a)^2 - (n-1) sum 1/x_a^2, sign-equivalent to the determinant.
 
-    This is :func:`cone_criterion` at the reciprocals z = 1/x.  Scale-free up
-    to a positive factor: multiplying all weights by c divides the value by
-    c^2, so the sign is invariant.
+    This is the value of :func:`criterion_sign` at the reciprocals z = 1/x.
+    Scale-free up to a positive factor: multiplying all weights by c divides
+    the value by c^2, so the sign is invariant.
     """
     xs = _checked(xs, "reduced criterion", "weights")
     one = Fraction(1) if infer_mode(xs) == EXACT else 1.0  # 1.0 / x is 1.0 / float(x)
     return criterion_sign([one / x for x in xs])[0]
-
-
-def cone_criterion(zs: Sequence[Scalar]) -> Scalar:
-    """(sum z_a)^2 - (n-1) sum z_a^2 on reciprocal coordinates z = 1/x.
-
-    The reciprocal image is where the flat region becomes a solid cone.
-    """
-    zs = _checked(zs, "cone criterion", "coordinates")
-    return criterion_sign(zs if infer_mode(zs) == EXACT else [float(z) for z in zs])[0]
 
 
 def criterion_scale(xs: Sequence[Scalar]) -> float:

@@ -19,9 +19,9 @@ from atomembed import (
     binomial_family,
     bisect_boundary,
     classify,
-    cone_criterion,
     cone_half_angle_cos,
     cone_membership,
+    criterion_sign,
     criterion_table,
     det_closed_form,
     det_lemma_route,
@@ -62,7 +62,7 @@ def test_c1_reduced_criterion_value_and_verdict():
     scaled = tuple(w / m.weights[0] for w in m.weights)
     value = reduced_criterion(scaled)
     recips = tuple(1 / w for w in scaled)
-    zvalue = cone_criterion(recips)
+    zvalue, _ = criterion_sign(recips)
     cls = classify(m)
     elapsed = time.perf_counter() - start
     report(

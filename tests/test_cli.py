@@ -94,11 +94,6 @@ class TestCheckAndClassify:
         assert doc["checked_count"] == 22
         assert doc["subset_values"]["0,1,2,3,4,5"] == "-41984/25"
 
-    def test_check_full_set_only(self, capsys, binom5):
-        code, out, _ = run(capsys, "check", binom5, "--full-set-only")
-        assert code == 0
-        assert json.loads(out)["checked_count"] == 3
-
     def test_check_refuses_a_table_over_a_million_rows(self, capsys, tmp_path, monkeypatch):
         path = write_measure(tmp_path, "b20.json", [str(math.comb(20, i)) for i in range(21)])
 
@@ -113,12 +108,6 @@ class TestCheckAndClassify:
                        f"21 atoms (at most 1048576); use classify for the verdict\n")
         code, out, _ = run(capsys, "classify", path)
         assert code == 0 and json.loads(out)["witness"] == [0, 1, 2, 3]
-
-    def test_check_prints_the_prefixes_of_many_atoms(self, capsys, tmp_path):
-        path = write_measure(tmp_path, "b20.json", [str(math.comb(20, i)) for i in range(21)])
-        code, out, _ = run(capsys, "check", path, "--full-set-only")
-        doc = json.loads(out)
-        assert code == 0 and doc["checked_count"] == 18 and doc["verdict"] == "not_embeddable"
 
     def test_classify_uniform(self, capsys, uniform4):
         code, out, _ = run(capsys, "classify", uniform4)
@@ -324,6 +313,14 @@ class TestEmbedCommand:
         assert err == ("atomembed: invalid input: a triple product over base 0 "
                        "exceeds double precision\n")
 
+    @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
+    def test_tolerance_must_be_finite_and_positive(self, capsys, uniform4, tol):
+        # a NaN or infinite tolerance used to switch the residual check off
+        code, out, err = run(capsys, "embed", uniform4, "--tol", tol)
+        assert code == 1 and out == ""
+        assert err == (f"atomembed: invalid input: isometry tolerance must be finite "
+                       f"and positive, got {float(tol)}\n")
+
 
 class TestSweepCommand:
     def test_binomial_trials_sweep(self, capsys, tmp_path):
@@ -418,6 +415,15 @@ class TestBisectCommand:
         assert code == 1
         assert "nothing to bracket" in err
 
+    @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
+    def test_tolerance_must_be_finite_and_positive(self, capsys, tmp_path, binom5, tol):
+        # a NaN tolerance used to end the loop at once with boundary 1/2
+        u6 = write_measure(tmp_path, "u6.json", ["1/6"] * 6)
+        code, out, err = run(capsys, "bisect", u6, binom5, "--tol", tol)
+        assert code == 1 and out == ""
+        assert err == (f"atomembed: invalid input: tolerance must be finite and "
+                       f"positive, got {float(tol)}\n")
+
 
 class TestUsage:
     def test_no_command(self, capsys):
@@ -434,3 +440,48 @@ class TestUsage:
         code, _, err = run(capsys, "transmogrify")
         assert code == 1
         assert "invalid choice" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["check", "{m}"],
+        ["classify", "{m}"],
+        ["sweep", "uniform", "--atoms", "4", "--param", "atoms", "--start", "4",
+         "--stop", "5", "--steps", "2"],
+        ["bisect", "{m}", "{m}"],
+    ], ids=["check", "classify", "sweep", "bisect"])
+    def test_removed_prefix_flag_is_refused(self, capsys, uniform4, argv):
+        flag = "--full-set-only"
+        argv = [uniform4 if a == "{m}" else a for a in argv]
+        code, out, err = run(capsys, *argv, flag)
+        assert code == 1 and out == ""
+        assert err == f"atomembed: error: unrecognized arguments: {flag}\n"
+
+    def test_repeated_calls_share_one_parser_and_leak_no_flag(self, capsys, tmp_path,
+                                                             monkeypatch):
+        from atomembed import cli
+
+        monkeypatch.delenv("ATOMEMBED_SEED", raising=False)
+        # full criterion exactly 0: exact says E in dimension 2, float says I
+        zero = write_measure(tmp_path, "zero.json", [1, 1, "1/4", "1/12"])
+        assert run(capsys, "classify", zero)[0] == 0  # builds the parser
+
+        def no_rebuild():
+            raise AssertionError("the parser was built again")
+
+        monkeypatch.setattr(cli, "build_parser", no_rebuild)
+        code, out, _ = run(capsys, "classify", zero, "--float")
+        assert code == 2 and json.loads(out)["verdict"] == "indeterminate"
+        code, out, _ = run(capsys, "classify", zero)
+        assert code == 0 and json.loads(out)["dimension"] == 2
+        saved = tmp_path / "check.json"
+        code, out, _ = run(capsys, "check", zero, "--out", str(saved))
+        assert code == 0 and out == "" and json.loads(saved.read_text())["mode"] == "exact"
+        code, out, _ = run(capsys, "check", zero)
+        assert code == 0 and json.loads(out)["mode"] == "exact"
+        code, out, _ = run(capsys, "det", zero, "--mode", "closed")
+        assert list(json.loads(out)["values"]) == ["closed"]
+        code, out, _ = run(capsys, "det", zero)
+        assert list(json.loads(out)["values"]) == ["closed", "numeric", "lemma"]
+        code, out, _ = run(capsys, "sample", "--k", "4", "--count", "5", "--seed", "7")
+        assert json.loads(out)["seed"] == 7
+        code, out, _ = run(capsys, "sample", "--k", "4", "--count", "5")
+        assert json.loads(out)["seed"] == 0

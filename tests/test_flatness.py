@@ -83,17 +83,6 @@ class TestIsFlat:
         assert subs[0] == (0, 1, 2, 3)
         assert subs[-1] == (0, 1, 2, 3, 4)
 
-    def test_full_set_only_checks_prefixes(self):
-        m = binom(5)
-        report = is_flat(m, full_set_only=True)
-        assert list(report.subset_values) == [
-            (0, 1, 2, 3), (0, 1, 2, 3, 4), (0, 1, 2, 3, 4, 5)]
-        assert report.checked_count == 3
-        # prefix values agree with the all-subsets sweep
-        full = is_flat(m)
-        for sub, value in report.subset_values.items():
-            assert full.subset_values[sub] == value
-
     def test_verdict_invariant_under_permutation(self, rng):
         for _ in range(50):
             size = rng.randint(4, 6)
@@ -171,8 +160,6 @@ class TestClassify:
 
     def test_checked_subsets_helper(self):
         assert list(checked_subsets(4)) == [(0, 1, 2, 3)]
-        assert list(checked_subsets(5, full_set_only=True)) == [
-            (0, 1, 2, 3), (0, 1, 2, 3, 4)]
 
 
 class TestCone:
@@ -255,9 +242,10 @@ class TestReciprocalForm:
             assert np.allclose(eig[1:], n - 1, atol=1e-9)
 
     def test_form_evaluates_minus_cone_criterion(self, rng):
-        from atomembed import cone_criterion, reciprocal_form_matrix
+        from atomembed import criterion_sign, reciprocal_form_matrix
 
         for n in (3, 5):
             z = np.array(float_tuple(rng, n + 1))
             quad = float(z @ reciprocal_form_matrix(n) @ z)
-            assert quad == pytest.approx(-cone_criterion(tuple(z)), rel=1e-12)
+            value, _ = criterion_sign([float(v) for v in z])
+            assert quad == pytest.approx(-value, rel=1e-12)

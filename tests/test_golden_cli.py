@@ -41,7 +41,6 @@ INPUTS = {
 CASES = {}
 for _name in ("uniform6", "binomial5", "float_flat", "float_boundary"):
     CASES[f"check_{_name}"] = ["check", f"{{{_name}}}"]
-    CASES[f"check_full_set_only_{_name}"] = ["check", f"{{{_name}}}", "--full-set-only"]
     CASES[f"classify_{_name}"] = ["classify", f"{{{_name}}}"]
     CASES[f"det_all_{_name}"] = ["det", f"{{{_name}}}", "--mode", "all"]
 CASES.update({
@@ -53,10 +52,6 @@ CASES.update({
                                "--steps", "5"],
     "sweep_uniform_atoms": ["sweep", "uniform", "--atoms", "4", "--param", "atoms",
                             "--start", "2", "--stop", "7", "--steps", "6"],
-    "sweep_hypergeometric_full_set_only": [
-        "sweep", "hypergeometric", "--population", "8", "--successes", "4",
-        "--draws", "2", "--param", "draws", "--start", "1", "--stop", "4",
-        "--steps", "4", "--full-set-only"],
     "sample_rows_k4": ["sample", "--k", "4", "--count", "40", "--seed", "12",
                        "--rows", "{out:rows.csv}"],
     "sample_rows_k6": ["sample", "--k", "6", "--count", "25", "--seed", "3",
@@ -119,6 +114,10 @@ ALL_CASES = sorted(CASES) + [f"embed_{n}" for n in EMBED_CASES]
 def test_golden_output(name, tmp_path):
     expected = json.loads((GOLDEN / f"{name}.json").read_text())
     assert record(name, tmp_path) == expected
+
+
+def test_every_golden_file_has_a_case():
+    assert {path.stem for path in GOLDEN.glob("*.json")} == set(ALL_CASES)
 
 
 if __name__ == "__main__":

@@ -12,8 +12,8 @@ from atomembed import (
     appendix_decomposition,
     atom_gram_matrix,
     atom_metric,
-    cone_criterion,
     criterion_scale,
+    criterion_sign,
     det_closed_form,
     det_lemma_route,
     det_numeric,
@@ -290,7 +290,7 @@ class TestReducedCriterion:
     def test_cone_criterion_on_reciprocals_is_identical(self):
         zs = [Fraction(1), Fraction(1, 5), Fraction(1, 10), Fraction(1, 10),
               Fraction(1, 5), Fraction(1)]
-        assert cone_criterion(zs) == Fraction(-41, 25)
+        assert criterion_sign(zs) == (Fraction(-41, 25), "negative")
 
     def test_all_ones(self):
         for size in range(3, 9):

@@ -204,24 +204,20 @@ COUNT_INPUTS = {
     "float_flat": [0.15, 0.17, 0.16, 0.18, 0.17, 0.17],
     "float_boundary": [1.0, 1.0, 1.0, 1.0 / _T],
 }
-#: Kernel calls of the route behind each command, by input and flag.  The
-#: full-set route takes one for the verdict; `classify` adds the witness
-#: search of a failing measure (the 6 evaluations that find (0, 1, 2, 3)),
-#: and `check` also the dimension's window search (4 more).  The prefix route
-#: of --full-set-only evaluates its k-2 prefixes and nothing else.
+#: Kernel calls of the route behind each command, by input.  The full-set
+#: route takes one for the verdict; `classify` adds the witness search of a
+#: failing measure (the 6 evaluations that find (0, 1, 2, 3)), and `check`
+#: also the dimension's window search (4 more).  Forcing float arithmetic
+#: with --float does not change the count.
 ROUTE_CALLS = {
-    ("classify", False): {"exact_flat": 1, "exact_not_flat": 7,
-                          "float_flat": 1, "float_boundary": 1},
-    ("check", False): {"exact_flat": 1, "exact_not_flat": 11,
-                       "float_flat": 1, "float_boundary": 1},
-    ("classify", True): {"exact_flat": 7, "exact_not_flat": 3,
-                         "float_flat": 3, "float_boundary": 1},
-    ("check", True): {"exact_flat": 7, "exact_not_flat": 3,
-                      "float_flat": 3, "float_boundary": 1},
+    "classify": {"exact_flat": 1, "exact_not_flat": 7,
+                 "float_flat": 1, "float_boundary": 1},
+    "check": {"exact_flat": 1, "exact_not_flat": 11,
+              "float_flat": 1, "float_boundary": 1},
 }
 
 
-@pytest.mark.parametrize("flag", [[], ["--full-set-only"]])
+@pytest.mark.parametrize("flag", [[], ["--float"]])
 @pytest.mark.parametrize("name", sorted(COUNT_INPUTS))
 @pytest.mark.parametrize("command", ["check", "classify"])
 def test_each_command_sweeps_once(command, name, flag, counted, tmp_path, capsys):
@@ -230,10 +226,10 @@ def test_each_command_sweeps_once(command, name, flag, counted, tmp_path, capsys
     path.write_text(json.dumps({"weights": weights}))
     main([command, str(path), *flag])
     doc = json.loads(capsys.readouterr().out)
-    route = ROUTE_CALLS[command, bool(flag)][name]
+    route = ROUTE_CALLS[command][name]
     if command == "check":
         # the printed table is the enumeration, evaluated once more
-        rows = sum(1 for _ in checked_subsets(len(weights), bool(flag)))
+        rows = sum(1 for _ in checked_subsets(len(weights)))
         assert doc["checked_count"] == rows
         assert counted["criterion"] == rows + route
     else:
@@ -298,14 +294,6 @@ near_boundary = st.builds(lambda zero, f, more: perturbed(zero, f) + more,
 @example([1.0, 1.0, 1.0, 1.0 / _T, 0.01])  # (0,1,2,3) in the margin, the full set fails
 def test_route_equals_enumeration_float(weights):
     assert_route_matches_enumeration(validate_measure(weights))
-
-
-@settings(max_examples=80, deadline=None)
-@given(st.one_of(exact_weights, small_integers, binomial_rows, zero_points_and_more,
-                 float_weights, near_boundary))
-def test_full_set_only_gives_the_full_verdict(weights):
-    m = validate_measure(weights)
-    assert is_flat(m, full_set_only=True).letter == is_flat(m).letter
 
 
 @settings(max_examples=60, deadline=None)
