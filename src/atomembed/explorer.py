@@ -114,10 +114,16 @@ def bisect_boundary(measure_at: Callable[[Scalar], Measure], lo, hi,
     classify differently, otherwise NoCrossingError.  With rational endpoints
     the bracket stays exact (midpoints are dyadic combinations).  A positive
     ``scan_steps`` first samples the path uniformly; additional sign changes
-    are reported in ``extra_brackets`` and the first one is refined.
+    are reported in ``extra_brackets`` and the first one is refined.  A
+    tolerance that is not finite and positive, or a negative ``max_iter`` or
+    ``scan_steps``, is a ValueError.
     """
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tolerance must be finite and positive, got {tol}")
+    if max_iter < 0:
+        raise ValueError(f"iteration limit must be nonnegative, got {max_iter}")
+    if scan_steps < 0:
+        raise ValueError(f"scan steps must be nonnegative, got {scan_steps}")
     lo = Fraction(lo) if not isinstance(lo, float) else lo
     hi = Fraction(hi) if not isinstance(hi, float) else hi
     if not lo < hi:

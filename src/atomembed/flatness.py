@@ -28,12 +28,18 @@ that is not flat is the longest positive window of sorted z.  The searches
 run only when their result is read.  This is the only route to a verdict,
 witness, dimension or worst subset; :func:`criterion_table` keeps the
 brute-force enumeration for ``check``'s printed table and for tests.
+
+In exact mode every subset is signed on integers: the reciprocals are put
+over one common denominator once per measure, and each value is turned back
+into its canonical Fraction by a single division.  Float reciprocals go to
+the kernel as they are.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
 from typing import Callable, Dict, Iterator, Optional, Sequence, Tuple
@@ -65,15 +71,35 @@ class Classification:
 
 
 class _Values(dict):
-    """Criterion values by atom subset; looking up a new subset evaluates it."""
+    """Criterion values by atom subset; looking up a new subset evaluates it.
+
+    Exact reciprocals are scaled once, over the whole measure, to the
+    integers Z = z·den with den the least common denominator.  Each subset
+    is then signed on integers: the criterion is homogeneous of degree 2, so
+    its integer value is den² times the exact one, with the same sign, and
+    the value kept is Fraction(value, den²).  Float reciprocals are used as
+    they are.
+    """
 
     def __init__(self, zs: Tuple[Scalar, ...]):
         super().__init__()
-        self.zs = zs
+        if isinstance(zs[0], float):
+            self.terms, self._den2 = zs, None
+        else:
+            den = math.lcm(*(z.denominator for z in zs))
+            self.terms = tuple(z.numerator * (den // z.denominator) for z in zs)
+            self._den2 = den * den
         self.signs: Dict[AtomSubset, str] = {}
 
+    def evaluate(self, sub: AtomSubset) -> Tuple[Scalar, str]:
+        """(value, sign) of one subset, without keeping it."""
+        value, sign = criterion_sign([self.terms[i] for i in sub])
+        if self._den2 is not None:
+            value = Fraction(value, self._den2)
+        return value, sign
+
     def __missing__(self, sub: AtomSubset) -> Scalar:
-        value, self.signs[sub] = criterion_sign([self.zs[i] for i in sub])
+        value, self.signs[sub] = self.evaluate(sub)
         self[sub] = value
         return value
 
@@ -146,8 +172,8 @@ class FlatnessReport:
 
     @cached_property
     def _order(self) -> Tuple[int, ...]:
-        zs = self.subset_values.zs
-        return tuple(sorted(range(self._size), key=zs.__getitem__))
+        terms = self.subset_values.terms  # sorted as z: den > 0
+        return tuple(sorted(range(self._size), key=terms.__getitem__))
 
     @cached_property
     def witness(self) -> Optional[AtomSubset]:
@@ -224,11 +250,12 @@ def criterion_table(m: Measure) -> Dict[AtomSubset, Scalar]:
     """Every checked subset's criterion value, in (size, lexicographic) order.
 
     This is the brute-force enumeration: 2^(k+1) subsets, less the pairs and
-    triples.  ``check`` prints it; verdicts come from :func:`is_flat`.
+    triples.  ``check`` prints it; verdicts come from :func:`is_flat`.  Each
+    value is evaluated as in :class:`FlatnessReport` (on integers over one
+    common denominator in exact mode) and no sign is kept.
     """
-    zs = m.reciprocals()
-    return {sub: criterion_sign([zs[i] for i in sub])[0]
-            for sub in checked_subsets(m.size)}
+    evaluate = _Values(m.reciprocals()).evaluate
+    return {sub: evaluate(sub)[0] for sub in checked_subsets(m.size)}
 
 
 def is_flat(m: Measure) -> FlatnessReport:

@@ -14,9 +14,11 @@ provided and cross-checked:
 The sign, which is all that classification needs, is that of the cone
 criterion (sum z)^2 - (n-1) sum z^2 at the reciprocals z = 1/x, taken once
 per measure.  :func:`criterion_sign`, shared by the flatness route and
-``det``, forms one pair of power sums per subset (exact over Fractions,
-math.fsum over floats) and returns the value with its sign; the other
-criterion functions are validating wrappers over the same sums.
+``det``, forms one pair of power sums per subset (exact over integers or
+Fractions, math.fsum over floats) and returns the value with its sign; the
+other criterion functions are validating wrappers over the same sums.
+Exact values may be integers over one common denominator: the flatness
+route passes Z = z * den, whose criterion is den^2 times that of z.
 """
 
 from __future__ import annotations
@@ -317,17 +319,23 @@ def _det_closed_float(xs: Tuple[float, ...], n: int) -> float:
 
 
 def _power_sums(zs):
-    """(sum z, sum z^2): correctly rounded over floats, exact otherwise."""
+    """(sum z, sum z^2): correctly rounded over floats, exact otherwise.
+
+    Exact sums keep the type of their terms: integers give integers,
+    Fractions give Fractions.
+    """
     if isinstance(zs[0], float):
         return math.fsum(zs), math.fsum(z * z for z in zs)
-    return sum(zs, Fraction(0)), sum((z * z for z in zs), Fraction(0))
+    return sum(zs), sum(z * z for z in zs)
 
 
 def criterion_sign(zs: Sequence[Scalar]) -> Tuple[Scalar, str]:
     """(value, sign) of the cone criterion (sum z)^2 - (n-1) sum z^2.
 
     The n+1 >= 3 reciprocals are validated by the caller and all floats or all
-    exact; the float scale (sum z)^2 + (n-1) sum z^2 is built only for floats.
+    exact (ints or Fractions); the float scale (sum z)^2 + (n-1) sum z^2 is
+    built only for floats.  Integers Z = z * den give the integer value
+    den^2 times that of z, with the same sign.
     """
     s1, s2 = _power_sums(zs)
     value = s1 * s1 - (len(zs) - 2) * s2

@@ -424,6 +424,27 @@ class TestBisectCommand:
         assert err == (f"atomembed: invalid input: tolerance must be finite and "
                        f"positive, got {float(tol)}\n")
 
+    @pytest.mark.parametrize("flag, message", [
+        ("--max-iter", "iteration limit must be nonnegative, got -1"),
+        ("--scan", "scan steps must be nonnegative, got -1"),
+    ])
+    def test_negative_counts_are_refused(self, capsys, tmp_path, binom5, flag, message):
+        # -1 iterations used to fail as an unreached tolerance; a negative
+        # scan used to run as no scan at all
+        u6 = write_measure(tmp_path, "u6.json", ["1/6"] * 6)
+        code, out, err = run(capsys, "bisect", u6, binom5, flag, "-1")
+        assert code == 1 and out == ""
+        assert err == f"atomembed: invalid input: {message}\n"
+
+    def test_zero_counts_keep_their_meaning(self, capsys, tmp_path, binom5):
+        u6 = write_measure(tmp_path, "u6.json", ["1/6"] * 6)
+        code, out, err = run(capsys, "bisect", u6, binom5, "--max-iter", "0")
+        assert code == 1 and out == ""
+        assert err == ("atomembed: invalid input: bracket width 1.0 still above "
+                       "tol=1e-06 after 0 iterations\n")
+        assert run(capsys, "bisect", u6, binom5, "--scan", "0") == run(capsys, "bisect",
+                                                                     u6, binom5)
+
 
 class TestUsage:
     def test_no_command(self, capsys):

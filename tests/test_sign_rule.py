@@ -26,6 +26,7 @@ from atomembed import (
     checked_subsets,
     classify,
     criterion_scale,
+    criterion_sign,
     criterion_table,
     dimension,
     is_flat,
@@ -314,3 +315,72 @@ def test_sample_draw_makes_one_call(counted):
     summary = sample_simplex(8, 40, seed=0)
     assert summary.embeddable > 0 and summary.not_embeddable > 0
     assert counted["criterion"] == 40
+
+
+# -- exact values on integers over one common denominator ----------------------
+
+big_rationals = st.builds(Fraction, st.integers(1, 10**30), st.integers(1, 10**30))
+mixed_rationals = st.one_of(big_rationals, rationals,
+                            st.builds(Fraction, st.integers(1, 10**30)),
+                            st.just(Fraction(1, 10**400)))
+big_zero_points = st.builds(zero_criterion_weights, big_rationals, big_rationals,
+                            big_rationals)
+big_weights = st.one_of(
+    st.lists(big_rationals, min_size=4, max_size=8),
+    st.lists(mixed_rationals, min_size=4, max_size=8),
+    st.builds(lambda zero, more: zero + more,
+              st.one_of(big_zero_points, zero_points), st.lists(mixed_rationals, max_size=3)),
+)
+
+
+@settings(max_examples=50, deadline=None)
+@given(big_weights)
+@example(["1/3", "1/7", "2/9", "10/11", "1/10000000000000000000000000000000000000000"])
+def test_scaled_values_equal_the_fraction_formula(weights):
+    m = validate_measure(weights)
+    table = criterion_table(m)
+    report = is_flat(m)
+    assert list(table) == list(checked_subsets(m.size))
+    for sub, got in table.items():
+        value, _ = formula([m.weights[i] for i in sub])
+        assert got == value and type(got) is Fraction
+        kept = report.subset_values[sub]
+        assert kept == value and type(kept) is Fraction
+    assert_route_matches_enumeration(m)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(mixed_rationals, min_size=3, max_size=8))
+def test_integer_kernel_is_the_fraction_kernel_times_den_squared(zs):
+    den = math.lcm(*(z.denominator for z in zs))
+    ints = [int(z * den) for z in zs]
+    value, sign = criterion_sign(ints)
+    assert type(value) is int
+    assert (Fraction(value, den * den), sign) == criterion_sign(zs)
+
+
+@pytest.fixture
+def kernel_types(monkeypatch):
+    """The types of the reciprocals passed to the criterion kernel by the sweep."""
+    seen = set()
+    kernel = flatness.criterion_sign
+
+    def wrapped(zs):
+        seen.update(type(z) for z in zs)
+        return kernel(zs)
+
+    monkeypatch.setattr(flatness, "criterion_sign", wrapped)
+    return seen
+
+
+@pytest.mark.parametrize("flag", [[], ["--float"]])
+@pytest.mark.parametrize("name", sorted(COUNT_INPUTS))
+@pytest.mark.parametrize("command", ["check", "classify"])
+def test_exact_kernel_calls_take_integers(command, name, flag, kernel_types, tmp_path,
+                                          capsys):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"weights": COUNT_INPUTS[name]}))
+    main([command, str(path), *flag])
+    capsys.readouterr()
+    exact = name.startswith("exact") and not flag
+    assert kernel_types == ({int} if exact else {float})
