@@ -8,6 +8,7 @@ stderr.  Exit codes: 0 for definite verdicts, 2 for indeterminate ones,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
 import json
@@ -108,15 +109,20 @@ def _emit_json(obj, out_path=None):
 
 
 def _write_csv(rows, header, out_path=None):
-    if out_path:
-        with open(out_path, "w", encoding="utf-8", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(header)
-            w.writerows(rows)
-    else:
-        w = csv.writer(sys.stdout)
+    with (open(out_path, "w", encoding="utf-8", newline="") if out_path
+          else contextlib.nullcontext(sys.stdout)) as fh:
+        w = csv.writer(fh)
         w.writerow(header)
         w.writerows(rows)
+
+
+def _emit_table(rows, header, summary, out_path):
+    """CSV to out_path and JSON to stdout, or CSV to stdout and one JSON line to stderr."""
+    _write_csv(rows, header, out_path)
+    if out_path:
+        _emit_json(summary)
+    else:
+        print(json.dumps(summary), file=sys.stderr)
 
 
 # -- subcommands ---------------------------------------------------------------
@@ -205,12 +211,7 @@ def _cmd_embed(args) -> int:
         "max_residual": result.max_residual,
         "out": args.out,
     }
-    if args.out:
-        _write_csv(rows, header, args.out)
-        _emit_json(summary)
-    else:
-        _write_csv(rows, header)
-        print(json.dumps(summary), file=sys.stderr)
+    _emit_table(rows, header, summary, args.out)
     return 0
 
 
@@ -297,12 +298,7 @@ def _cmd_sweep(args) -> int:
         counts[r.verdict] += 1
     summary = {"rows": len(rows), "embeddable": counts["E"],
                "not_embeddable": counts["N"], "indeterminate": counts["I"]}
-    if args.out:
-        _write_csv(csv_rows, header, args.out)
-        _emit_json(summary)
-    else:
-        _write_csv(csv_rows, header)
-        print(json.dumps(summary), file=sys.stderr)
+    _emit_table(csv_rows, header, summary, args.out)
     return 0
 
 
@@ -412,7 +408,7 @@ def build_parser() -> _Parser:
     p.add_argument("measure")
     p.add_argument("--out", help="write the coordinate CSV here")
     p.add_argument("--tol", type=float, default=1e-8,
-                   help="isometry residual bound (default 1e-8)")
+                   help="relative error bound on each distance (default 1e-8)")
     _mode_flags(p)
     p.set_defaults(func=_cmd_embed)
 

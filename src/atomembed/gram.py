@@ -28,8 +28,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Tuple
 
-import numpy as np
-
 from .measure import DistanceMatrix, Measure
 from .scalars import BOUNDARY_MARGIN, EXACT, FLOAT, Scalar, infer_mode
 
@@ -49,14 +47,6 @@ class GramMatrix:
     entries: Tuple[Tuple[Scalar, ...], ...]
     points: Tuple[int, ...]
     mode: str
-
-    def as_array(self) -> np.ndarray:
-        """The entries as doubles; an exact entry beyond double range is a GramError."""
-        try:
-            return np.asarray(self.entries, dtype=float)
-        except OverflowError as exc:
-            raise GramError(f"a triple product over base {self.points[0]} exceeds "
-                            f"double precision") from exc
 
 
 def triple_product(d: DistanceMatrix, i: int, j: int, base: int) -> Scalar:

@@ -192,9 +192,12 @@ class TestNonFiniteValues:
         code, out, err = run(capsys, command, path)
         assert code == 1
         assert out == ""
-        assert err == ("atomembed: invalid input: triple product entry (1, 3) "
-                       "over base 0 overflows in double precision; "
-                       "supply rational weights\n")
+        assert err == {
+            "det": "atomembed: invalid input: triple product entry (1, 3) over base 0 "
+                   "overflows in double precision; supply rational weights\n",
+            "embed": "atomembed: invalid input: the embedding coordinates or their "
+                     "squares are beyond double range\n",
+        }[command]
 
     @pytest.mark.parametrize("weights, argv, code, key", [
         ([1.0, 1.0, 1.0, 1e-300], ["check"], 2, ("subset_values", "0,1,2,3")),
@@ -303,15 +306,42 @@ class TestEmbedCommand:
         assert "witness" in err
 
     def test_gram_beyond_double_range_exits_one(self, capsys, tmp_path):
-        # embeddable, but the Gram matrix is factorized in double precision
+        # embeddable, but the coordinates of atom 3 are about 10^400
         path = write_measure(tmp_path, "h.json", ["1", "2", "3", HUGE])
         code, out, _ = run(capsys, "classify", path)
         assert (code, json.loads(out)["verdict"]) == (0, "embeddable")
         code, out, err = run(capsys, "embed", path)
         assert code == 1
         assert out == ""
-        assert err == ("atomembed: invalid input: a triple product over base 0 "
-                       "exceeds double precision\n")
+        assert err == ("atomembed: invalid input: the embedding coordinates or their "
+                       "squares are beyond double range\n")
+
+    @pytest.mark.parametrize("weights", [[1e-300] * 3, ["1/" + "1" + "0" * 210] * 3])
+    def test_squares_below_double_range_exit_one(self, capsys, tmp_path, weights):
+        # embeddable at any scale, but x^2 is below the smallest normal double
+        path = write_measure(tmp_path, "t.json", weights)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DegenerateWeightWarning)
+            code, out, err = run(capsys, "embed", path)
+        assert (code, out) == (1, "")
+        assert err == ("atomembed: invalid input: the embedding coordinates or their "
+                       "squares are beyond double range\n")
+
+    @pytest.mark.parametrize("weights, dim", [
+        ([1, 1, 1, 10**12], 3),
+        ([3, 3, 3, 3, 3, 10**8], 5),
+        ([10**12, 1, 1, 1], 3),
+        ([1, 1, 1, 1, 10**12, 10**24], 5),
+    ])
+    def test_wide_ratio_measures_embed(self, capsys, tmp_path, weights, dim):
+        # an absolute residual bound cannot be met at distance 10^12
+        path = write_measure(tmp_path, "w.json", weights)
+        code, out, err = run(capsys, "embed", path)
+        assert code == 0
+        summary = json.loads(err)
+        assert summary["dimension"] == dim
+        assert summary["max_residual"] <= 1e-12
+        assert len(out.splitlines()) == len(weights) + 1
 
     @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
     def test_tolerance_must_be_finite_and_positive(self, capsys, uniform4, tol):

@@ -148,6 +148,62 @@ def test_embed_dimension_is_sweep_dimension(weights):
     assert result.coordinates.shape == (m.size, report.dimension)
 
 
+@st.composite
+def wide_ratio_weights(draw, scalar, max_exponent):
+    """Near-uniform weights with one atom scaled by 10^e; the heavy atom keeps them flat."""
+    weights = draw(st.lists(scalar, min_size=3, max_size=9))
+    i = draw(st.integers(0, len(weights) - 1))
+    weights[i] *= 10 ** draw(st.integers(0, max_exponent))
+    return weights
+
+
+def assert_placed(m, bound):
+    """Columns, base and per-pair relative residual of embed(m), recomputed here."""
+    report = is_flat(m)
+    assert report.flat and not report.boundary
+    result = embed(m)
+    assert result.coordinates.shape == (m.size, report.dimension)
+    assert result.base == m.weights.index(min(m.weights))
+    assert not result.coordinates[result.base].any()
+    pts = result.coordinates
+    worst = max(abs(math.dist(pts[i], pts[j]) - float(m.weights[i] + m.weights[j]))
+                / float(m.weights[i] + m.weights[j])
+                for i in range(m.size) for j in range(i + 1, m.size))
+    assert worst <= bound
+    assert result.max_residual <= bound
+    return result
+
+
+@settings(max_examples=80, deadline=None)
+@given(wide_ratio_weights(near_uniform, 30))
+def test_exact_placement_is_isometric_across_wide_ratios(weights):
+    assert_placed(validate_measure(weights), 1e-12)
+
+
+@settings(max_examples=80, deadline=None)
+@given(wide_ratio_weights(st.floats(0.9, 1.1), 15))
+def test_float_placement_is_isometric_across_wide_ratios(weights):
+    assert_placed(validate_measure(weights), 1e-11)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.builds(zero_criterion_weights, rationals, rationals, rationals))
+def test_zero_criterion_drops_exactly_one_column(weights):
+    m = validate_measure(weights)
+    assert reduced_criterion(m.weights) == 0
+    assert assert_placed(m, 1e-12).dimension == m.size - 2
+
+
+def test_embed_does_not_call_eigh(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("embed called numpy.linalg.eigh")
+
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    result = embed(realize(uniform_family(6)))
+    assert result.dimension == 5
+    assert result.max_residual <= 1e-12
+
+
 class TestVerifyIsometry:
     def test_exact_two_point_embedding(self):
         m = validate_measure([1, 3])

@@ -3,8 +3,8 @@
 Each case runs ``atomembed.cli.main`` in process on fixed inputs and compares
 the result with ``tests/golden/<case>.json``; files a command writes
 (``sample --rows``, ``bisect --trace``) are compared too.  ``embed`` prints
-floating-point coordinates from ``eigh``, so only its exit code and
-dimension are pinned.
+floating-point coordinates, whose last bits depend on the order of the
+arithmetic, so only its exit code and dimension are pinned.
 
 To record the golden files again, run from the repository root::
 
