@@ -35,6 +35,9 @@ INPUTS = {
     # reciprocal image (1, 1, 1, 3 + 2*sqrt(3)) lies on the cone boundary
     "float_boundary": [1.0, 1.0, 1.0, 1.0 / _T],
     "float_binomial5": [1 / 32, 5 / 32, 5 / 16, 5 / 16, 5 / 32, 1 / 32],
+    # unequal denominators, one light atom: 136 of 848 rows fail
+    "rough10": ["3/37", "5/41", "7/59", "2/29", "11/97", "4/53", "9/89", "6/71",
+                "1/17", "1/40"],
 }
 
 # argv templates: {name} is an input document, {out:file} a file to record
@@ -44,6 +47,7 @@ for _name in ("uniform6", "binomial5", "float_flat", "float_boundary"):
     CASES[f"classify_{_name}"] = ["classify", f"{{{_name}}}"]
     CASES[f"det_all_{_name}"] = ["det", f"{{{_name}}}", "--mode", "all"]
 CASES.update({
+    "check_rough10": ["check", "{rough10}"],
     "sweep_binomial_p_exact": ["sweep", "binomial", "--n", "5", "--p", "1/2",
                                "--param", "p", "--start", "1/10", "--stop", "1/2",
                                "--steps", "5"],
