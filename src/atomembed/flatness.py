@@ -46,7 +46,7 @@ from typing import Callable, Dict, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .gram import criterion_sign
+from .gram import criterion_sign, criterion_value, power_sums
 from .measure import AtomSubset, Measure
 from .scalars import Scalar
 
@@ -84,22 +84,17 @@ class _Values(dict):
     def __init__(self, zs: Tuple[Scalar, ...]):
         super().__init__()
         if isinstance(zs[0], float):
-            self.terms, self._den2 = zs, None
+            self.terms, self.den2 = zs, None
         else:
             den = math.lcm(*(z.denominator for z in zs))
             self.terms = tuple(z.numerator * (den // z.denominator) for z in zs)
-            self._den2 = den * den
+            self.den2 = den * den
         self.signs: Dict[AtomSubset, str] = {}
 
-    def evaluate(self, sub: AtomSubset) -> Tuple[Scalar, str]:
-        """(value, sign) of one subset, without keeping it."""
-        value, sign = criterion_sign([self.terms[i] for i in sub])
-        if self._den2 is not None:
-            value = Fraction(value, self._den2)
-        return value, sign
-
     def __missing__(self, sub: AtomSubset) -> Scalar:
-        value, self.signs[sub] = self.evaluate(sub)
+        value, self.signs[sub] = criterion_sign([self.terms[i] for i in sub])
+        if self.den2 is not None:
+            value = Fraction(value, self.den2)
         self[sub] = value
         return value
 
@@ -250,12 +245,39 @@ def criterion_table(m: Measure) -> Dict[AtomSubset, Scalar]:
     """Every checked subset's criterion value, in (size, lexicographic) order.
 
     This is the brute-force enumeration: 2^(k+1) subsets, less the pairs and
-    triples.  ``check`` prints it; verdicts come from :func:`is_flat`.  Each
-    value is evaluated as in :class:`FlatnessReport` (on integers over one
-    common denominator in exact mode) and no sign is kept.
+    triples.  ``check`` prints it; verdicts come from :func:`is_flat`.  The
+    values equal those of :class:`FlatnessReport`, and no sign is kept.  In
+    exact mode one depth-first pass per size carries the running integer
+    sums of Z and Z² over one common denominator, so a row costs O(1) plus
+    its Fraction(value, den²); float rows keep one correctly rounded pair of
+    power sums each.
     """
-    evaluate = _Values(m.reciprocals()).evaluate
-    return {sub: evaluate(sub)[0] for sub in checked_subsets(m.size)}
+    values = _Values(m.reciprocals())
+    terms, den2 = values.terms, values.den2
+    if den2 is None:
+        return {sub: criterion_value(*power_sums([terms[i] for i in sub]), len(sub))
+                for sub in checked_subsets(m.size)}
+    table: Dict[AtomSubset, Scalar] = {}
+    squares = tuple(z * z for z in terms)
+    for size in range(4, m.size + 1):
+        _exact_rows(table, terms, squares, den2, size, (), 0, 0, 0)
+    return table
+
+
+def _exact_rows(table, terms, squares, den2, size, prefix, start, s1, s2) -> None:
+    """Add the rows of ``size`` atoms that extend ``prefix`` from atom ``start`` on.
+
+    s1 and s2 are the prefix's integer sums of Z and Z²; rows go in in
+    lexicographic order.
+    """
+    if len(prefix) == size - 1:
+        for a in range(start, len(terms)):
+            value = criterion_value(s1 + terms[a], s2 + squares[a], size)
+            table[prefix + (a,)] = Fraction(value, den2)
+        return
+    for a in range(start, len(terms) - size + len(prefix) + 1):
+        _exact_rows(table, terms, squares, den2, size, prefix + (a,), a + 1,
+                    s1 + terms[a], s2 + squares[a])
 
 
 def is_flat(m: Measure) -> FlatnessReport:

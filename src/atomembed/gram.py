@@ -7,7 +7,8 @@ provided and cross-checked:
 
   * the closed form 2^(n-1) * (E^2 - (n-1) Q), where E and Q are the sums of
     the products of all weights but one and of their squares;
-  * plain elimination with full pivoting (exact over Fractions);
+  * elimination: fraction-free (Bareiss) on integers when no entry is a
+    float, IEEE with full pivoting otherwise;
   * a rank-one-update route M = A + v v^t with the adjugate of A given in
     closed form, combined through det(A + u v^t) = det(A) + v^t Adj(A) u.
 
@@ -16,7 +17,8 @@ criterion (sum z)^2 - (n-1) sum z^2 at the reciprocals z = 1/x, taken once
 per measure.  :func:`criterion_sign`, shared by the flatness route and
 ``det``, forms one pair of power sums per subset (exact over integers or
 Fractions, math.fsum over floats) and returns the value with its sign; the
-other criterion functions are validating wrappers over the same sums.
+other criterion functions are validating wrappers over the same sums, and
+:func:`criterion_value` is the one place the formula is written.
 Exact values may be integers over one common denominator: the flatness
 route passes Z = z * den, whose criterion is den^2 times that of z.
 """
@@ -125,15 +127,55 @@ def _as_rows(matrix):
 
 
 def det_numeric(matrix) -> Scalar:
-    """Determinant by Gaussian elimination with full pivoting.
+    """Determinant by Gaussian elimination.
 
-    Exact over Fractions, IEEE otherwise.  Full pivoting because the Gram
-    matrices near the boundary are symmetric but indefinite.
+    Exact when every entry is an int or a Fraction: the denominators are
+    cleared once, by their least common multiple L, and fraction-free
+    (Bareiss) elimination runs on Python integers, so the result is the
+    Fraction det / L^n.  Any float entry makes it IEEE elimination with full
+    pivoting, because the Gram matrices near the boundary are symmetric but
+    indefinite.
     """
     rows = _as_rows(matrix)
     n = len(rows)
     if n == 0:
         return Fraction(1)
+    if all(isinstance(a, (int, Fraction)) for row in rows for a in row):
+        return _det_bareiss(rows)
+    return _det_full_pivot(rows)
+
+
+def _det_bareiss(rows) -> Fraction:
+    """Exact determinant of int/Fraction rows by fraction-free elimination.
+
+    After step k every entry below and right of the pivot is a (k+2)-minor
+    of the cleared matrix, so the division by the previous pivot is exact.
+    Rows are swapped only to skip a zero pivot.
+    """
+    n = len(rows)
+    den = math.lcm(*(a.denominator for row in rows for a in row))
+    m = [[a.numerator * (den // a.denominator) for a in row] for row in rows]
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            swap = next((r for r in range(k + 1, n) if m[r][k] != 0), None)
+            if swap is None:
+                return Fraction(0)
+            m[k], m[swap] = m[swap], m[k]
+            sign = -sign
+        top = m[k]
+        pivot = top[k]
+        for row in m[k + 1:]:
+            lead = row[k]
+            for j in range(k + 1, n):
+                row[j] = (pivot * row[j] - lead * top[j]) // prev
+        prev = pivot
+    return Fraction(sign * m[n - 1][n - 1], den ** n)
+
+
+def _det_full_pivot(rows) -> Scalar:
+    """IEEE determinant with full pivoting; ``rows`` is eliminated in place."""
+    n = len(rows)
     det = 1
     sign = 1
     for step in range(n):
@@ -308,7 +350,7 @@ def _det_closed_float(xs: Tuple[float, ...], n: int) -> float:
     return bracket * scale
 
 
-def _power_sums(zs):
+def power_sums(zs):
     """(sum z, sum z^2): correctly rounded over floats, exact otherwise.
 
     Exact sums keep the type of their terms: integers give integers,
@@ -319,6 +361,14 @@ def _power_sums(zs):
     return sum(zs), sum(z * z for z in zs)
 
 
+def criterion_value(s1: Scalar, s2: Scalar, count: int) -> Scalar:
+    """The cone criterion s1^2 - (count-2) s2 of ``count`` reciprocals.
+
+    s1 and s2 are their sum and sum of squares, as from :func:`power_sums`.
+    """
+    return s1 * s1 - (count - 2) * s2
+
+
 def criterion_sign(zs: Sequence[Scalar]) -> Tuple[Scalar, str]:
     """(value, sign) of the cone criterion (sum z)^2 - (n-1) sum z^2.
 
@@ -327,8 +377,8 @@ def criterion_sign(zs: Sequence[Scalar]) -> Tuple[Scalar, str]:
     built only for floats.  Integers Z = z * den give the integer value
     den^2 times that of z, with the same sign.
     """
-    s1, s2 = _power_sums(zs)
-    value = s1 * s1 - (len(zs) - 2) * s2
+    s1, s2 = power_sums(zs)
+    value = criterion_value(s1, s2, len(zs))
     if isinstance(value, float):
         return value, sign_verdict(value, s1 * s1 + (len(zs) - 2) * s2, FLOAT)
     return value, sign_verdict(value, 0.0, EXACT)
@@ -364,7 +414,7 @@ def criterion_scale(xs: Sequence[Scalar]) -> float:
         except (OverflowError, ZeroDivisionError) as exc:
             raise GramError(f"weight at index {i} is beyond double range; "
                             f"the criterion scale is a float quantity") from exc
-    s1, s2 = _power_sums(zs)
+    s1, s2 = power_sums(zs)
     return s1 * s1 + (len(xs) - 2) * s2
 
 

@@ -83,6 +83,12 @@ class TestIsFlat:
         assert subs[0] == (0, 1, 2, 3)
         assert subs[-1] == (0, 1, 2, 3, 4)
 
+    @pytest.mark.parametrize("size", range(4, 13))
+    def test_table_keys_are_the_checked_subsets(self, size, rng):
+        for weights in (rational_tuple(rng, size), float_tuple(rng, size)):
+            table = criterion_table(validate_measure(weights))
+            assert list(table) == list(checked_subsets(size))
+
     def test_verdict_invariant_under_permutation(self, rng):
         for _ in range(50):
             size = rng.randint(4, 6)

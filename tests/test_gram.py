@@ -166,7 +166,90 @@ class TestClosedForm:
         assert reduced_criterion([1e-150, 1e100, 1e100, 1e50]) < 0
 
 
+def full_pivot_det(rows):
+    """Oracle: Gaussian elimination with full pivoting, in the entries' own type."""
+    rows = [list(row) for row in rows]
+    n = len(rows)
+    det, sign = 1, 1
+    for step in range(n):
+        piv_r, piv_c, piv_abs = -1, -1, None
+        for r in range(step, n):
+            for c in range(step, n):
+                a = abs(rows[r][c])
+                if piv_abs is None or a > piv_abs:
+                    piv_r, piv_c, piv_abs = r, c, a
+        if piv_abs == 0:
+            return piv_abs
+        if piv_r != step:
+            rows[step], rows[piv_r] = rows[piv_r], rows[step]
+            sign = -sign
+        if piv_c != step:
+            for row in rows:
+                row[step], row[piv_c] = row[piv_c], row[step]
+            sign = -sign
+        pivot = rows[step][step]
+        det *= pivot
+        for r in range(step + 1, n):
+            factor = rows[r][step] / pivot
+            if factor == 0:
+                continue
+            for c in range(step, n):
+                rows[r][c] -= factor * rows[step][c]
+    return sign * det
+
+
+small_entries = st.one_of(st.integers(-6, 6),
+                          st.builds(Fraction, st.integers(-6, 6), st.integers(1, 5)))
+
+
+@st.composite
+def exact_matrices(draw):
+    """Square int/Fraction matrices of order 1-8, some shaped to stall a pivot."""
+    n = draw(st.integers(1, 8))
+    rows = [draw(st.lists(small_entries, min_size=n, max_size=n)) for _ in range(n)]
+    shape = draw(st.sampled_from(["random", "zero_corner", "zero_column",
+                                  "zero_leading_minor", "repeated_row",
+                                  "combined_row"]))
+    if shape == "zero_corner":
+        rows[0][0] = 0
+    elif shape == "zero_column":
+        for row in rows:
+            row[0] = 0
+    elif n >= 2 and shape == "zero_leading_minor":  # the second pivot is 0
+        rows[1][:2] = rows[0][:2]
+    elif n >= 2 and shape == "repeated_row":
+        rows[-1] = list(rows[0])
+    elif n >= 2 and shape == "combined_row":
+        c = draw(small_entries)
+        rows[-1] = [a + c * b for a, b in zip(rows[0], rows[1])]
+    return rows
+
+
 class TestDetNumeric:
+    @settings(max_examples=300, deadline=None)
+    @given(exact_matrices())
+    def test_exact_equals_full_pivot_fractions(self, rows):
+        before = [list(row) for row in rows]
+        got = det_numeric(rows)
+        assert got == full_pivot_det([[Fraction(a) for a in row] for row in rows])
+        assert type(got) is Fraction
+        assert rows == before
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 8).flatmap(lambda n: st.lists(
+        st.lists(st.floats(-4, 4), min_size=n, max_size=n), min_size=n, max_size=n)))
+    def test_float_is_full_pivot_elimination(self, rows):
+        assert det_numeric(rows) == full_pivot_det(rows)
+
+    def test_huge_integers_are_exact(self):
+        big = 10 ** 20
+        got = det_numeric([[big + 1, big], [big, big - 1]])
+        assert got == -1 and type(got) is Fraction
+
+    def test_small_integers_give_a_fraction(self):
+        got = det_numeric([[2, 1], [1, 2]])
+        assert got == 3 and type(got) is Fraction
+
     def test_one_by_one(self):
         assert det_numeric([[Fraction(5, 7)]]) == Fraction(5, 7)
 

@@ -187,15 +187,21 @@ def test_sign_verdict_non_finite_is_boundary(value):
 
 @pytest.fixture
 def counted(monkeypatch):
-    """Counts the criterion kernel calls made through the flatness sweep."""
+    """Counts the calls the flatness module makes to the criterion kernel
+    (``criterion``) and to the bare formula that `check`'s table rows use
+    (``table``)."""
     calls = Counter()
-    kernel = flatness.criterion_sign
 
-    def wrapped(zs):
-        calls["criterion"] += 1
-        return kernel(zs)
+    def counting(name, function):
+        def wrapped(*args):
+            calls[name] += 1
+            return function(*args)
+        return wrapped
 
-    monkeypatch.setattr(flatness, "criterion_sign", wrapped)
+    monkeypatch.setattr(flatness, "criterion_sign",
+                        counting("criterion", flatness.criterion_sign))
+    monkeypatch.setattr(flatness, "criterion_value",
+                        counting("table", flatness.criterion_value))
     return calls
 
 
@@ -208,8 +214,10 @@ COUNT_INPUTS = {
 #: Kernel calls of the route behind each command, by input.  The full-set
 #: route takes one for the verdict; `classify` adds the witness search of a
 #: failing measure (the 6 evaluations that find (0, 1, 2, 3)), and `check`
-#: also the dimension's window search (4 more).  Forcing float arithmetic
-#: with --float does not change the count.
+#: also the dimension's window search (4 more).  `check`'s table makes no
+#: kernel call: each row is one `criterion_value` call, from running integer
+#: sums in exact mode and from its own pair of power sums under --float.
+#: Forcing float arithmetic with --float changes neither count.
 ROUTE_CALLS = {
     "classify": {"exact_flat": 1, "exact_not_flat": 7,
                  "float_flat": 1, "float_boundary": 1},
@@ -227,14 +235,14 @@ def test_each_command_sweeps_once(command, name, flag, counted, tmp_path, capsys
     path.write_text(json.dumps({"weights": weights}))
     main([command, str(path), *flag])
     doc = json.loads(capsys.readouterr().out)
-    route = ROUTE_CALLS[command][name]
+    assert counted["criterion"] == ROUTE_CALLS[command][name]
     if command == "check":
-        # the printed table is the enumeration, evaluated once more
+        # the printed table is the enumeration, one formula call per row
         rows = sum(1 for _ in checked_subsets(len(weights)))
         assert doc["checked_count"] == rows
-        assert counted["criterion"] == rows + route
+        assert counted["table"] == rows
     else:
-        assert counted["criterion"] == route
+        assert counted["table"] == 0
 
 
 def test_dimension_reads_the_report(counted):
