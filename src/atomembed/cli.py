@@ -336,6 +336,8 @@ def _cmd_sample(args) -> int:
         "indeterminate": summary.indeterminate,
         "fraction": summary.fraction,
         "ci95_half_width": summary.ci95_half_width,
+        "ci95_low": summary.ci95_low,
+        "ci95_high": summary.ci95_high,
         "seed": summary.seed,
     }, args.out)
     return 0

@@ -185,8 +185,11 @@ class SampleSummary:
     """Aggregate of a simplex sample.
 
     ``fraction`` is embeddable/total and the half-width is the normal
-    approximation of the 95% binomial-proportion interval; indeterminate
-    draws are counted separately and still included in the total.
+    (Wald) approximation of the 95% binomial-proportion interval, which
+    collapses to 0 when the fraction is 0 or 1; ``ci95_low`` and
+    ``ci95_high`` bound the Wilson score interval (Wilson 1927), which does
+    not.  Indeterminate draws are counted separately and still included in
+    the total.
     """
 
     k: int
@@ -196,6 +199,8 @@ class SampleSummary:
     indeterminate: int
     fraction: float
     ci95_half_width: float
+    ci95_low: float
+    ci95_high: float
     seed: int
 
 
@@ -220,6 +225,14 @@ def _sample_chunk(args) -> List[SampleRow]:
         rows.append(SampleRow(index=index, weights=weights, verdict=report.letter,
                               worst_value=float(report.worst[1]) if worst else None))
     return rows
+
+
+def _wilson_interval(frac: float, count: int) -> Tuple[float, float]:
+    """95% Wilson score interval of a proportion ``frac`` of ``count`` draws."""
+    z2n = _Z95 * _Z95 / count
+    center = (frac + z2n / 2) / (1 + z2n)
+    half = _Z95 * math.sqrt(frac * (1 - frac) / count + z2n / (4 * count)) / (1 + z2n)
+    return max(0.0, center - half), min(1.0, center + half)
 
 
 def sample_simplex(k: int, count: int, seed: int = 0, jobs: int = 1,
@@ -252,8 +265,9 @@ def sample_simplex(k: int, count: int, seed: int = 0, jobs: int = 1,
     ind = sum(1 for r in rows if r.verdict == "I")
     frac = emb / count
     half_width = _Z95 * math.sqrt(frac * (1.0 - frac) / count)
+    low, high = _wilson_interval(frac, count)
     summary = SampleSummary(k=k, total=count, embeddable=emb,
                             not_embeddable=not_emb, indeterminate=ind,
                             fraction=frac, ci95_half_width=half_width,
-                            seed=seed)
+                            ci95_low=low, ci95_high=high, seed=seed)
     return (summary, rows) if keep_rows else summary

@@ -170,6 +170,22 @@ class TestSampleSimplex:
         assert 0.0 < s.fraction < 1.0
         assert s.ci95_half_width < 0.02
 
+    def test_wilson_interval_survives_zero_hits(self):
+        # the Wald half-width collapses to 0 here; the Wilson interval
+        # reaches z^2 / (n + z^2) with n = 2
+        s = sample_simplex(8, 2, seed=1)
+        assert (s.fraction, s.ci95_half_width, s.ci95_low) == (0.0, 0.0, 0.0)
+        assert s.ci95_high == pytest.approx(1.959963984540054 ** 2 / (2 + 1.959963984540054 ** 2))
+
+    def test_wilson_interval_brackets_the_fraction(self):
+        for k, count, seed in ((3, 4, 1), (4, 40, 12), (5, 500, 11), (3, 10_000, 0)):
+            s = sample_simplex(k, count, seed=seed)
+            assert 0.0 <= s.ci95_low < s.fraction < s.ci95_high <= 1.0
+        # three hits of four: the textbook interval (0.3006, 0.9544)
+        s = sample_simplex(3, 4, seed=1)
+        assert s.embeddable == 3
+        assert (s.ci95_low, s.ci95_high) == pytest.approx((0.30064, 0.95441), abs=1e-5)
+
     def test_weights_lie_on_the_simplex(self):
         _, rows = sample_simplex(4, 50, seed=5, keep_rows=True)
         for row in rows:
