@@ -178,7 +178,7 @@ class TestSampleSimplex:
         assert s.ci95_high == pytest.approx(1.959963984540054 ** 2 / (2 + 1.959963984540054 ** 2))
 
     def test_wilson_interval_brackets_the_fraction(self):
-        for k, count, seed in ((3, 4, 1), (4, 40, 12), (5, 500, 11), (3, 10_000, 0)):
+        for k, count, seed in ((3, 4, 1), (4, 40, 12), (5, 500, 11)):
             s = sample_simplex(k, count, seed=seed)
             assert 0.0 <= s.ci95_low < s.fraction < s.ci95_high <= 1.0
         # three hits of four: the textbook interval (0.3006, 0.9544)

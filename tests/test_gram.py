@@ -226,7 +226,7 @@ def exact_matrices(draw):
 
 
 class TestDetNumeric:
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=150, deadline=None)
     @given(exact_matrices())
     def test_exact_equals_full_pivot_fractions(self, rows):
         before = [list(row) for row in rows]
