@@ -54,17 +54,16 @@ from .flatness import (
     reciprocal_form_matrix,
 )
 from .gram import (
-    AppendixDecomposition,
     GramError,
     GramMatrix,
     adjugate,
-    appendix_decomposition,
     atom_gram_matrix,
     criterion_scale,
     criterion_sign,
     det_closed_form,
     det_lemma_route,
     det_numeric,
+    det_pivots,
     gram_matrix,
     matrix_det_lemma,
     reduced_criterion,

@@ -41,6 +41,7 @@ from .gram import (
     det_closed_form,
     det_lemma_route,
     det_numeric,
+    det_pivots,
     gram_matrix,
 )
 from .measure import (
@@ -129,10 +130,14 @@ def _emit_table(rows, header, summary, out_path):
 
 def _cmd_det(args) -> int:
     m = _load(args.measure, args)
-    simplex = (
-        [int(s) for s in args.simplex.split(",")]
-        if args.simplex else list(range(m.size))
-    )
+    if args.simplex is None:
+        simplex = list(range(m.size))
+    else:
+        try:
+            simplex = [int(s) for s in args.simplex.split(",")]
+        except ValueError:
+            raise CliError(f"--simplex takes comma-separated atom indices, "
+                           f"got {args.simplex!r}") from None
     if len(simplex) < 3:
         raise CliError("det needs a simplex of at least 3 points "
                        f"(got {len(simplex)}); pairs are always realizable")
@@ -144,7 +149,9 @@ def _cmd_det(args) -> int:
     if args.mode in ("closed", "all"):
         values["closed"] = det_closed_form(xs)
     if args.mode in ("numeric", "all"):
-        values["numeric"] = det_numeric(gram_matrix(atom_metric(m), simplex))
+        det = det_pivots(xs)
+        values["numeric"] = (det if det is not None
+                             else det_numeric(gram_matrix(atom_metric(m), simplex)))
     if args.mode in ("lemma", "all"):
         values["lemma"] = det_lemma_route(xs)
     zs = m.reciprocals()

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .flatness import is_flat
+from .gram import _ldl_pivots
 from .measure import DistanceMatrix, Measure, atom_metric
 
 #: Bound on each pair's distance error relative to its target distance.
@@ -65,22 +66,16 @@ def _place_atoms(weights):
     base = weights.index(min(weights))
     xb = weights[base]
     order = [j for j in range(len(weights)) if j != base]
-    s00, s01, s11 = 1, 0, -2
     coords = np.zeros((len(weights), len(order)))
     col = 0
-    for pos, j in enumerate(order):
-        a, b = xb + weights[j], weights[j]
-        w0, w1 = s00 * a + s01 * b, s01 * a + s11 * b
-        pivot = 2 * b * b + a * w0 + b * w1
-        if pivot <= 0:  # 0 for a flat measure, with a zero column; a NaN is kept
+    for pos, (j, pivot, v0, v1) in enumerate(_ldl_pivots(weights, base, signed=False)):
+        if v0 is None:  # 0 for a flat measure, with a zero column
             continue
         height = math.sqrt(pivot)
         coords[j, col] = height
-        v0, v1 = w0 / pivot, w1 / pivot
-        p, q = xb * v0, v0 + v1  # L_ij = u_i . w / pivot = p + x_i q
+        p, q = xb * v0, v0 + v1  # L_ij = u_i . v = p + x_i q
         for i in order[pos + 1:]:
             coords[i, col] = float(p + weights[i] * q) * height
-        s00, s01, s11 = s00 - w0 * v0, s01 - w0 * v1, s11 - w1 * v1
         col += 1
     return base, coords[:, :col]
 

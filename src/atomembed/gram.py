@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 from .measure import DistanceMatrix, Measure
 from .scalars import BOUNDARY_MARGIN, EXACT, FLOAT, Scalar, infer_mode
@@ -205,6 +205,53 @@ def _det_full_pivot(rows) -> Scalar:
     return sign * det
 
 
+def _ldl_pivots(xs: Sequence[Scalar], base: int, signed: bool):
+    """LDL^T of the atom Gram matrix over ``base``, in the weights' own arithmetic.
+
+    Over base b the matrix of the other atoms is U S U^T + 2 diag(x^2) with
+    rows u_i = (x_b + x_i, x_i) and S = [[1, 0], [0, -2]], so each step
+    updates a 2x2 state.  Yields (j, pivot, v0, v1) for every atom j != b in
+    index order: the pivot is the squared height of atom j above the earlier
+    kept atoms, and the column of L below it is L_ij = u_i . (v0, v1).  A zero
+    pivot, or a negative one unless ``signed``, is dropped: it yields
+    v0 = v1 = None and leaves the state as it was.  A NaN pivot is kept.
+    """
+    xb = xs[base]
+    s00, s01, s11 = 1, 0, -2
+    for j, b in enumerate(xs):
+        if j == base:
+            continue
+        a = xb + b
+        w0, w1 = s00 * a + s01 * b, s01 * a + s11 * b
+        pivot = 2 * b * b + a * w0 + b * w1
+        if pivot == 0 or (pivot < 0 and not signed):
+            yield j, pivot, None, None
+            continue
+        v0, v1 = w0 / pivot, w1 / pivot
+        s00, s01, s11 = s00 - w0 * v0, s01 - w0 * v1, s11 - w1 * v1
+        yield j, pivot, v0, v1
+
+
+def det_pivots(xs: Sequence[Scalar]) -> Optional[Fraction]:
+    """Exact determinant of the atom Gram matrix: the product of its LDL^T pivots.
+
+    The base is xs[0]; a Gram determinant is the same over every base and
+    under any symmetric reordering.  Returns None for float weights, where
+    unpivoted LDL^T is not stable, and at a zero pivot, after which plain
+    LDL^T no longer factors the matrix; :func:`det_numeric` of the
+    :func:`gram_matrix` decides both.
+    """
+    if infer_mode(xs) == FLOAT:
+        return None
+    xs = tuple(map(Fraction, xs))
+    det = Fraction(1)
+    for _, pivot, v0, _ in _ldl_pivots(xs, 0, signed=True):
+        if v0 is None:
+            return None
+        det *= pivot
+    return det
+
+
 def adjugate(matrix):
     """Adjugate by cofactors: Adj(A)[i][j] = (-1)^(i+j) det(minor_ji).
 
@@ -240,59 +287,80 @@ def matrix_det_lemma(matrix, u: Sequence[Scalar], v: Sequence[Scalar]) -> Scalar
     return det_numeric(rows) + correction
 
 
-@dataclass(frozen=True)
-class AppendixDecomposition:
-    """Rank-one split M = A + v v^t with closed-form det(A) and Adj(A).
+def det_lemma_route(xs: Sequence[Scalar]) -> Scalar:
+    """Determinant of the atom Gram matrix through the rank-one update.
 
-    A has entries -2 (1 - delta_ij) x_i x_j over i,j = 1..n and
-    v = (x_0 + x_1, ..., x_0 + x_n); det(A) = -2^n (x_1 ... x_n)^2 (n-1) and
-    Adj(A)[i][j] = 2^(n-1) (x_1 ... x_n)^2 (1/(x_i x_j) - delta_ij (n-1)/x_i^2).
+    M = A + v v^t, where A has entries -2 (1 - delta_ij) x_i x_j over
+    i, j = 1..n and v_i = x_0 + x_i.  With P = x_1 ... x_n and w = 1/x,
+    det(A) = -2^n P^2 (n-1) and Adj(A) = 2^(n-1) P^2 (w w^t - (n-1) diag(w^2)),
+    so det(A) + v^t Adj(A) v needs only the power sums of r = x_0 w:
+
+        2^(n-1) P^2 ((2 - n) + 2 sum r + (sum r)^2 - (n-1) sum r^2).
+
+    The bracket cancels near the boundary, so floats evaluate it by
+    :func:`_lemma_bracket_float`.  A float weight x_i whose square
+    underflows, so that the adjugate's 1/(x_i x_j) has no double, is refused
+    with a GramError.
     """
-
-    a: Tuple[Tuple[Scalar, ...], ...]
-    v: Tuple[Scalar, ...]
-    det_a: Scalar
-    adj_a: Tuple[Tuple[Scalar, ...], ...]
-
-
-def appendix_decomposition(xs: Sequence[Scalar]) -> AppendixDecomposition:
     xs = tuple(xs)
     n = len(xs) - 1
     if n < 2:
-        raise GramError("the rank-one decomposition needs at least three weights")
+        raise GramError("the rank-one route needs at least three weights")
     _check_positive(xs)
-    zero = 0 * xs[0]  # Fraction or float, like the weights
-    tail = xs[1:]
-    a = tuple(
-        tuple(zero if i == j else -2 * tail[i] * tail[j] for j in range(n))
-        for i in range(n)
-    )
-    v = tuple(xs[0] + xi for xi in tail)
-    sq = math.prod(xi * xi for xi in tail)
-    det_a = -(2 ** n) * sq * (n - 1)
-    try:
-        adj_a = tuple(
-            tuple(
-                (2 ** (n - 1)) * sq * (1 / (tail[i] * tail[j])
-                                       - ((n - 1) / (tail[i] * tail[i]) if i == j else zero))
-                for j in range(n)
-            )
-            for i in range(n)
-        )
-    except ZeroDivisionError as exc:  # a float product of weights underflowed to 0
+    x0, tail = xs[0], xs[1:]
+    lightest = min(tail)
+    if isinstance(lightest, float) and lightest * lightest == 0:
         raise GramError(f"the rank-one route underflows in double precision for "
-                        f"weights {xs}; supply rational weights") from exc
-    return AppendixDecomposition(a=a, v=v, det_a=det_a, adj_a=adj_a)
+                        f"weights {xs}; supply rational weights")
+    scale = (2 ** (n - 1)) * math.prod(x * x for x in tail)
+    if infer_mode(xs) == FLOAT:
+        return scale * _lemma_bracket_float(float(x0), [float(x) for x in tail])
+    x0 = Fraction(x0)
+    r1, r2 = power_sums([x0 / x for x in tail])
+    return scale * ((2 - n) + 2 * r1 + r1 * r1 - (n - 1) * r2)
 
 
-def det_lemma_route(xs: Sequence[Scalar]) -> Scalar:
-    """Determinant of the atom Gram matrix through the rank-one update."""
-    dec = appendix_decomposition(xs)
-    n = len(dec.v)
-    correction = sum(
-        dec.v[i] * dec.adj_a[i][j] * dec.v[j] for i in range(n) for j in range(n)
-    )
-    return dec.det_a + correction
+def _lemma_bracket_float(x0: float, tail: Sequence[float]) -> float:
+    """(2 - n) + 2 sum r + (sum r)^2 - (n-1) sum r^2 at r = x0 / x, nearly exact.
+
+    Each r is carried as a pair hi + lo of doubles and every square is split
+    into two doubles by :func:`_two_product`, so math.fsum adds terms that
+    are exact to about 2^-100 of the largest; the rounding of that sum is
+    most of the error left.  Ratios of weights beyond about 10^154, whose
+    squares overflow, give a non-finite value.
+    """
+    n = len(tail)
+    rs = []
+    for x in tail:
+        hi = x0 / x
+        p, e = _two_product(hi, x)
+        rs.append((hi, ((x0 - p) - e) / x))  # x0 - hi x, divided by x
+    parts = [t for r in rs for t in r]
+    r1 = math.fsum(parts)
+    r1_lo = math.fsum(parts + [-r1])
+    terms = [2.0 - n, 2 * r1, 2 * r1_lo, *_two_product(r1, r1), 2 * r1 * r1_lo]
+    for hi, lo in rs:
+        for t in (*_two_product(hi, hi), 2 * hi * lo):
+            terms.extend(_two_product(t, 1.0 - n))
+    return math.fsum(terms)
+
+
+def _two_product(a: float, b: float) -> Tuple[float, float]:
+    """(p, e) with p = a * b rounded and p + e = a * b exactly (Dekker).
+
+    Exact while a, b and the product stay well inside double range.
+    """
+    p = a * b
+    a1, a2 = _split(a)
+    b1, b2 = _split(b)
+    return p, ((a1 * b1 - p) + a1 * b2 + a2 * b1) + a2 * b2
+
+
+def _split(a: float) -> Tuple[float, float]:
+    """a = hi + lo with at most 26 significant bits in each part."""
+    c = 134217729.0 * a  # 2^27 + 1
+    hi = c - (c - a)
+    return hi, a - hi
 
 
 def _check_positive(xs):

@@ -1,14 +1,27 @@
+import contextlib
 import csv
+import io
 import json
 import math
+import os
+import tempfile
 import warnings
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from atomembed import DegenerateWeightWarning
+from atomembed import (
+    DegenerateWeightWarning,
+    atom_metric,
+    det_numeric,
+    gram_matrix,
+    validate_measure,
+)
 from atomembed.cli import main
 from atomembed.scalars import scalar_to_json
+from det_oracle import lemma_sum
 
 #: 10^400 written out: exact, and far beyond double range
 HUGE = "1" + "0" * 400
@@ -274,6 +287,57 @@ class TestDetCommand:
         doc = json.loads(out)
         assert doc["criterion"] == scalar_to_json(criterion)
         assert doc["sign"] == sign
+
+
+    @pytest.mark.parametrize("simplex", ["", "0,1,x", "0,,1"])
+    def test_simplex_that_is_not_a_list_of_integers(self, capsys, uniform4, simplex):
+        code, out, err = run(capsys, "det", uniform4, "--simplex", simplex)
+        assert (code, out) == (1, "")
+        assert err == ("atomembed: error: --simplex takes comma-separated atom "
+                       f"indices, got {simplex!r}\n")
+
+    @pytest.mark.parametrize("weights, simplex, fallback", [
+        # the leading four atoms are a zero point: the pivot of atom 3 is 0
+        ([1, 1, "1/4", "1/12", "1/2", "1/3"], None, True),
+        (["1/32", "5/32", "5/16", "5/16", "5/32", "1/32"], "2,0,1,5,3", False),
+        (["1", "2", "3", HUGE], None, False),
+        (["1/" + HUGE, "1", "1", "1"], "1,0,2,3", False),
+    ], ids=["zero_pivot", "heavy_base", "huge", "tiny_off_base"])
+    def test_exact_values_equal_the_oracles(self, capsys, tmp_path, monkeypatch,
+                                            weights, simplex, fallback):
+        from atomembed import cli
+
+        calls = []
+        monkeypatch.setattr(cli, "det_numeric",
+                            lambda g: calls.append(g) or det_numeric(g))
+        path = write_measure(tmp_path, "m.json", weights)
+        argv = ["det", path] + (["--simplex", simplex] if simplex else [])
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        m = validate_measure([Fraction(w) for w in weights])
+        pts = [int(i) for i in simplex.split(",")] if simplex else list(range(m.size))
+        want = det_numeric(gram_matrix(atom_metric(m), pts))
+        values = json.loads(out)["values"]
+        assert values["numeric"] == values["lemma"] == scalar_to_json(want)
+        assert scalar_to_json(lemma_sum(m.subset_weights(pts))) == values["lemma"]
+        assert len(calls) == fallback
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.floats(0.01, 100.0), min_size=3, max_size=12), st.randoms())
+    def test_float_numeric_is_elimination_bit_for_bit(self, weights, rnd):
+        pts = list(range(len(weights)))
+        rnd.shuffle(pts)
+        pts = pts[:rnd.randint(3, len(pts))]
+        with tempfile.TemporaryDirectory() as work:
+            path = os.path.join(work, "m.json")
+            with open(path, "w") as fh:
+                json.dump({"weights": weights}, fh)
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                main(["det", path, "--mode", "numeric",
+                      "--simplex", ",".join(map(str, pts))])
+        want = det_numeric(gram_matrix(atom_metric(validate_measure(weights)), pts))
+        assert json.loads(out.getvalue())["values"]["numeric"] == scalar_to_json(want)
 
 
 class TestEmbedCommand:

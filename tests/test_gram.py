@@ -1,4 +1,5 @@
 import math
+import statistics
 from fractions import Fraction
 
 import numpy as np
@@ -9,7 +10,6 @@ from hypothesis import strategies as st
 from atomembed import (
     GramError,
     adjugate,
-    appendix_decomposition,
     atom_gram_matrix,
     atom_metric,
     criterion_scale,
@@ -17,6 +17,7 @@ from atomembed import (
     det_closed_form,
     det_lemma_route,
     det_numeric,
+    det_pivots,
     gram_matrix,
     matrix_det_lemma,
     reduced_criterion,
@@ -24,7 +25,8 @@ from atomembed import (
     triple_product,
     validate_measure,
 )
-from conftest import float_tuple, rational_tuple
+from conftest import float_tuple, rational_tuple, zero_criterion_weights
+from det_oracle import appendix_decomposition, lemma_sum
 
 
 def third_measure():
@@ -363,6 +365,81 @@ class TestAppendixDecomposition:
             lemma = det_lemma_route(m.weights)
             numeric = det_numeric(gram_matrix(atom_metric(m), range(size)))
             assert closed == lemma == numeric
+
+
+rationals = st.builds(Fraction, st.integers(1, 60), st.integers(1, 60))
+zero_points = st.builds(zero_criterion_weights, rationals, rationals, rationals)
+
+
+@st.composite
+def exact_simplices(draw):
+    """(shape, weights) of 3-12 exact atoms, the base first.
+
+    "zero_pivot" leads with a permuted zero point, so the pivot of the fourth
+    atom is 0 (with later atoms after it, or none); "heavy_base" puts an atom
+    heavier than all others first; "huge" makes one weight 10^400 or 10^-400.
+    """
+    shape = draw(st.sampled_from(["random", "zero_pivot", "heavy_base", "huge"]))
+    if shape == "zero_pivot":
+        lead = draw(st.permutations(draw(zero_points)))
+        return shape, list(lead) + draw(st.lists(rationals, max_size=8))
+    xs = draw(st.lists(rationals, min_size=3, max_size=12))
+    if shape == "heavy_base":
+        xs[0] = max(xs) + 1
+    elif shape == "huge":
+        xs[draw(st.integers(0, len(xs) - 1))] = Fraction(10) ** draw(st.sampled_from([400, -400]))
+    return shape, xs
+
+
+class TestDetRoutes:
+    @settings(max_examples=150, deadline=None)
+    @given(exact_simplices())
+    def test_exact_routes_equal_the_oracles(self, case):
+        shape, xs = case
+        rows = gram_matrix(atom_metric(validate_measure(xs)), range(len(xs))).entries
+        oracle = det_numeric(rows)
+        leading_zero = any(det_numeric([row[:k] for row in rows[:k]]) == 0
+                           for k in range(1, len(rows) + 1))
+        assert leading_zero or shape != "zero_pivot"
+        pivots = det_pivots(xs)
+        # a zero pivot is left to det_numeric; every other product is the determinant
+        assert (pivots is None) == leading_zero
+        assert pivots is None or (pivots == oracle and type(pivots) is Fraction)
+        lemma = det_lemma_route(xs)
+        assert lemma == lemma_sum(xs) == oracle
+        assert type(lemma) is Fraction
+
+    def test_integer_weights_give_fractions(self):
+        for route in (det_pivots, det_lemma_route):
+            got = route([1, 2, 3, 4])
+            assert got == det_closed_form([1, 2, 3, 4]) and type(got) is Fraction
+
+    @given(st.lists(st.floats(0.001, 1000.0), min_size=3, max_size=12))
+    def test_float_weights_leave_numeric_to_elimination(self, xs):
+        assert det_pivots(xs) is None
+
+    def test_float_lemma_no_less_accurate_than_the_materialized_sum(self, rng):
+        # error relative to the exact determinant of the same doubles
+        errors = {"oracle": [], "route": []}
+        for _ in range(2000):
+            xs = float_tuple(rng, rng.randint(4, 12))
+            exact = det_closed_form([Fraction(x) for x in xs])
+            for name, route in (("oracle", lemma_sum), ("route", det_lemma_route)):
+                errors[name].append(float(abs(Fraction(route(xs)) - exact) / abs(exact)))
+
+        def stats(values):
+            values = sorted(values)
+            return statistics.median(values), values[int(0.99 * len(values))], values[-1]
+
+        oracle, route = stats(errors["oracle"]), stats(errors["route"])
+        assert all(r <= o for r, o in zip(route, oracle)), (route, oracle)
+
+    @pytest.mark.parametrize("tiny", [1e-170, 1e-300, 5e-324])
+    def test_float_weight_with_underflowing_square_is_refused(self, tiny):
+        with pytest.raises(GramError, match="underflows in double precision"):
+            det_lemma_route([1.0, 1.0, tiny, 1.0])
+        # the base weight is never squared
+        assert math.isfinite(det_lemma_route([tiny, 1.0, 1.0, 1.0]))
 
 
 class TestReducedCriterion:
