@@ -3,9 +3,11 @@
 The atoms are the centers of mutually tangent balls of radii x_a.  Over the
 lightest atom b, the Gram matrix of the others is U S U^T + 2 diag(x^2) with
 u_i = (x_b + x_i, x_i) and S = [[1, 0], [0, -2]], so its LDL^T runs on a 2x2
-state in O(k^2) steps of the weights' own arithmetic.  Pivot j is the squared
-height of atom j above the earlier ones; the coordinates L sqrt(D) are rounded
-to doubles once, and since |p_i| = x_b + x_i <= d(i, j), to a few ulps per pair.
+state in O(k) steps of the weights' own arithmetic (``gram._ldl_pivots``,
+whose pivots ``det`` multiplies), and the k columns of L take O(k^2).  Pivot j
+is the squared height of atom j above the earlier ones; the coordinates
+L sqrt(D) are rounded to doubles once, and since |p_i| = x_b + x_i <= d(i, j),
+to a few ulps per pair.
 """
 
 from __future__ import annotations

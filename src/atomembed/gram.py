@@ -3,14 +3,19 @@
 The determinant of the matrix M whose (i,j) entry is the triple product
 relative to a chosen base point decides whether an (n+1)-point configuration
 of atoms can be realized in Euclidean space.  Three independent routes are
-provided and cross-checked:
+provided and cross-checked, each in O(n) steps for exact weights:
 
   * the closed form 2^(n-1) * (E^2 - (n-1) Q), where E and Q are the sums of
     the products of all weights but one and of their squares;
-  * elimination: fraction-free (Bareiss) on integers when no entry is a
-    float, IEEE with full pivoting otherwise;
-  * a rank-one-update route M = A + v v^t with the adjugate of A given in
-    closed form, combined through det(A + u v^t) = det(A) + v^t Adj(A) u.
+  * elimination: for exact weights, :func:`det_pivots` multiplies the pivots
+    of the LDL^T that ``embed`` also runs (:func:`_ldl_pivots`, on a 2x2
+    state); float weights and exact zero pivots take :func:`det_numeric` of
+    the :func:`gram_matrix`, fraction-free (Bareiss) on integers when no
+    entry is a float, IEEE with full pivoting otherwise;
+  * a rank-one-update route M = A + v v^t, combined through
+    det(A + u v^t) = det(A) + v^t Adj(A) u; the closed-form adjugate of A is
+    a diagonal plus a rank-one matrix, so the quadratic form needs only two
+    power sums.
 
 The sign, which is all that classification needs, is that of the cone
 criterion (sum z)^2 - (n-1) sum z^2 at the reciprocals z = 1/x, taken once
@@ -134,7 +139,9 @@ def det_numeric(matrix) -> Scalar:
     (Bareiss) elimination runs on Python integers, so the result is the
     Fraction det / L^n.  Any float entry makes it IEEE elimination with full
     pivoting, because the Gram matrices near the boundary are symmetric but
-    indefinite.
+    indefinite.  On a :func:`gram_matrix` it costs O(n^3) steps after the
+    n^2 triple products, so ``det`` calls it only where :func:`det_pivots`
+    returns None: for float weights and after an exact zero pivot.
     """
     rows = _as_rows(matrix)
     n = len(rows)
