@@ -315,16 +315,16 @@ def det_lemma_route(xs: Sequence[Scalar]) -> Scalar:
         raise GramError("the rank-one route needs at least three weights")
     _check_positive(xs)
     x0, tail = xs[0], xs[1:]
-    lightest = min(tail)
-    if isinstance(lightest, float) and lightest * lightest == 0:
+    scale = (2 ** (n - 1)) * math.prod(x * x for x in tail)
+    if infer_mode(xs) == EXACT:
+        x0 = Fraction(x0)
+        r1, r2 = power_sums([x0 / x for x in tail])
+        return scale * ((2 - n) + 2 * r1 + r1 * r1 - (n - 1) * r2)
+    lightest = float(min(tail))
+    if lightest * lightest == 0:
         raise GramError(f"the rank-one route underflows in double precision for "
                         f"weights {xs}; supply rational weights")
-    scale = (2 ** (n - 1)) * math.prod(x * x for x in tail)
-    if infer_mode(xs) == FLOAT:
-        return scale * _lemma_bracket_float(float(x0), [float(x) for x in tail])
-    x0 = Fraction(x0)
-    r1, r2 = power_sums([x0 / x for x in tail])
-    return scale * ((2 - n) + 2 * r1 + r1 * r1 - (n - 1) * r2)
+    return scale * _lemma_bracket_float(float(x0), [float(x) for x in tail])
 
 
 def _lemma_bracket_float(x0: float, tail: Sequence[float]) -> float:
