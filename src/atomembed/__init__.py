@@ -46,18 +46,12 @@ from .flatness import (
     checked_subsets,
     classify,
     criterion_table,
-    cone_axis_cos,
-    cone_half_angle_cos,
-    cone_membership,
     dimension,
     is_flat,
-    reciprocal_form_matrix,
 )
 from .gram import (
     GramError,
     GramMatrix,
-    adjugate,
-    atom_gram_matrix,
     criterion_scale,
     criterion_sign,
     det_closed_form,
@@ -65,7 +59,6 @@ from .gram import (
     det_numeric,
     det_pivots,
     gram_matrix,
-    matrix_det_lemma,
     reduced_criterion,
     sign_verdict,
     triple_product,
@@ -75,16 +68,10 @@ from .measure import (
     DistanceMatrix,
     Measure,
     MeasureError,
-    atom_distance,
     atom_metric,
-    atom_subset,
-    complement,
-    distance_matrix,
     load_measure,
     measure_from_json,
     measure_to_json,
-    powerset_distance,
-    powerset_metric,
     validate_measure,
 )
 from .scalars import EXACT, FLOAT, ModeConflictError, Scalar

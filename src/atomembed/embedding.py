@@ -8,18 +8,21 @@ whose pivots ``det`` multiplies), and the k columns of L take O(k^2).  Pivot j
 is the squared height of atom j above the earlier ones; the coordinates
 L sqrt(D) are rounded to doubles once, and since |p_i| = x_b + x_i <= d(i, j),
 to a few ulps per pair.
+
+Float weights are scaled by a power of two into the middle of the double
+range, and the coordinates back: the recurrence is homogeneous, so no
+rounding changes, and the squares of [1, 1, 1, 1e200] stay finite.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-
-import numpy as np
+from typing import NamedTuple
 
 from .flatness import is_flat
 from .gram import _ldl_pivots
 from .measure import DistanceMatrix, Measure, atom_metric
+from .scalars import FLOAT
 
 #: Bound on each pair's distance error relative to its target distance.
 ISOMETRY_TOL = 1e-8
@@ -33,8 +36,7 @@ class EmbeddingConsistencyError(RuntimeError):
     """The pivots or the residual contradict the flatness verdict."""
 
 
-@dataclass(frozen=True)
-class EmbeddingResult:
+class EmbeddingResult(NamedTuple):
     """Coordinates realizing the atom metric.
 
     ``coordinates`` has one row per atom and ``dimension`` columns, with the
@@ -51,6 +53,8 @@ class EmbeddingResult:
 
 def verify_isometry(coords: np.ndarray, d: DistanceMatrix) -> float:
     """Largest |embedded - target distance| / target distance over distinct points."""
+    import numpy as np
+
     pts = np.asarray(coords, dtype=float)
     if pts.shape[0] != d.size:
         raise ValueError(
@@ -65,6 +69,8 @@ def verify_isometry(coords: np.ndarray, d: DistanceMatrix) -> float:
 
 def _place_atoms(weights):
     """(base, coordinates) by the LDL^T recurrence over the lightest atom."""
+    import numpy as np
+
     base = weights.index(min(weights))
     xb = weights[base]
     order = [j for j in range(len(weights)) if j != base]
@@ -103,10 +109,20 @@ def embed(m: Measure, isometry_tol: float = ISOMETRY_TOL) -> EmbeddingResult:
             f"flatness is indeterminate in float mode near subset "
             f"{report.boundary[0]}; supply rational weights")
 
+    import numpy as np
+
+    tiny = np.finfo(float).tiny
+    weights, scale = m.weights, 0
     try:
-        base, coords = _place_atoms(m.weights)
-        in_range = (np.isfinite(coords).all()
-                    and float(min(m.weights)) ** 2 >= np.finfo(float).tiny)
+        if m.mode == FLOAT:  # to the middle of the extreme weights' binary exponents
+            scale = (math.frexp(min(weights))[1] + math.frexp(max(weights))[1]) // 2
+            weights = tuple(math.ldexp(w, -scale) for w in weights)
+        base, coords = _place_atoms(weights)
+        # scaled back, the coordinates stay within an ulp or so of each
+        # distance while the lightest weight is a normal double
+        in_range = (np.isfinite(coords).all() and float(min(weights)) ** 2 >= tiny
+                    and float(min(m.weights)) >= tiny
+                    and math.isfinite(math.ldexp(float(np.abs(coords).max()), scale)))
     except OverflowError:
         in_range = False
     if not in_range:
@@ -114,9 +130,9 @@ def embed(m: Measure, isometry_tol: float = ISOMETRY_TOL) -> EmbeddingResult:
     if coords.shape[1] != report.dimension:
         raise EmbeddingConsistencyError(f"{coords.shape[1]} positive pivots for a flat "
                                         f"measure of dimension {report.dimension}")
-    residual = verify_isometry(coords, atom_metric(m))
+    residual = verify_isometry(coords, atom_metric(m._replace(weights=weights)))
     if not residual <= isometry_tol:
         raise EmbeddingConsistencyError(f"relative embedding residual {residual:.3e} "
                                         f"exceeds tolerance {isometry_tol:.1e}")
-    return EmbeddingResult(dimension=report.dimension, coordinates=coords,
+    return EmbeddingResult(dimension=report.dimension, coordinates=coords * 2.0 ** scale,
                            max_residual=residual, base=base)

@@ -3,18 +3,16 @@ parameter sweeps, boundary bisection along paths, Monte Carlo sampling.
 
 Sampling is reproducible by construction: each sample index derives its own
 generator from the master seed, so the stream a sample sees is independent
-of batching, ordering, or the number of worker processes.
+of batching, ordering, or the number of worker processes.  numpy is imported
+once per chunk of draws, and the process pool only when it is used, so sweeps
+and bisections load neither.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .flatness import is_flat
 from .measure import Measure, MeasureError, validate_measure
@@ -28,8 +26,7 @@ class NoCrossingError(ValueError):
     """Both endpoints of a bisection bracket classify the same way."""
 
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(NamedTuple):
     """One grid point: verdict plus the worst subset found.
 
     ``witness`` is the subset achieving the minimal criterion value (the
@@ -67,8 +64,7 @@ def sweep(grid: Sequence[Tuple[Scalar, Measure]]) -> List[SweepRow]:
 
 # -- boundary bisection --------------------------------------------------------
 
-@dataclass(frozen=True)
-class BisectionResult:
+class BisectionResult(NamedTuple):
     """A verdict flip bracketed to the requested width.
 
     ``boundary`` is the midpoint of the final bracket (lower, upper);
@@ -172,16 +168,14 @@ def bisect_boundary(measure_at: Callable[[Scalar], Measure], lo, hi,
 
 # -- Monte Carlo sampling ------------------------------------------------------
 
-@dataclass(frozen=True)
-class SampleRow:
+class SampleRow(NamedTuple):
     index: int
     weights: Tuple[float, ...]
     verdict: str
     worst_value: Optional[float]
 
 
-@dataclass(frozen=True)
-class SampleSummary:
+class SampleSummary(NamedTuple):
     """Aggregate of a simplex sample.
 
     ``fraction`` is embeddable/total and the half-width is the normal
@@ -204,23 +198,20 @@ class SampleSummary:
     seed: int
 
 
-def _sample_weights(seed: int, k: int, index: int) -> Tuple[float, ...]:
-    """Uniform draw from the open simplex: normalized unit exponentials.
-
-    The generator is keyed by (seed, index) alone, never by batch layout.
-    """
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
-    e = rng.standard_exponential(k + 1)
-    w = e / e.sum()
-    return tuple(float(v) for v in w)
-
-
 def _sample_chunk(args) -> List[SampleRow]:
-    """Draws start..stop-1; the worst value is searched for only when ``worst`` is set."""
+    """Draws start..stop-1; the worst value is searched for only when ``worst`` is set.
+
+    Each draw is uniform on the open simplex (normalized unit exponentials),
+    from a generator keyed by (seed, index) alone, never by batch layout.
+    """
+    import numpy as np
+
     seed, k, start, stop, worst = args
     rows = []
     for index in range(start, stop):
-        weights = _sample_weights(seed, k, index)
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
+        e = rng.standard_exponential(k + 1)
+        weights = tuple(float(v) for v in e / e.sum())
         report = is_flat(Measure(weights=weights, mode=FLOAT, normalized=True))
         rows.append(SampleRow(index=index, weights=weights, verdict=report.letter,
                               worst_value=float(report.worst[1]) if worst else None))
@@ -254,6 +245,9 @@ def sample_simplex(k: int, count: int, seed: int = 0, jobs: int = 1,
     if jobs == 1 or count < 4 * jobs:
         rows = _sample_chunk((seed, k, 0, count, keep_rows))
     else:
+        import numpy as np
+        from concurrent.futures import ProcessPoolExecutor
+
         bounds = np.linspace(0, count, jobs + 1, dtype=int)
         chunks = [(seed, k, int(a), int(b), keep_rows)
                   for a, b in zip(bounds[:-1], bounds[1:])]

@@ -8,9 +8,8 @@ the binomial with a float success probability degrades to float mode.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .measure import Measure, validate_measure
 from .scalars import Scalar, parse_scalar
@@ -25,8 +24,7 @@ class FamilyError(ValueError):
     """Invalid family parameters."""
 
 
-@dataclass(frozen=True)
-class FamilySpec:
+class FamilySpec(NamedTuple):
     """Declarative description of a measure family member.
 
     Exactly the fields matching ``kind`` are set: ``atoms`` for uniform,
@@ -156,7 +154,7 @@ def family_grid(template: FamilySpec, param: str, start, stop,
                     f"got {v} (grid {start}..{stop} in {steps} steps)")
             v = as_int
         try:
-            measure = realize(replace(template, **{param: v}))
+            measure = realize(template._replace(**{param: v}))
         except (FamilyError, ValueError) as exc:
             raise FamilyError(f"grid point {param}={value} is invalid: {exc}") from exc
         out.append((value, measure))

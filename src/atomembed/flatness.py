@@ -33,26 +33,27 @@ In exact mode every subset is signed on integers: the reciprocals are put
 over one common denominator once per measure, and each value is turned back
 into its canonical Fraction by a single division.  Float reciprocals go to
 the kernel as they are.
+
+Under z = 1/x the flat region is a solid cone about the all-ones axis, of
+half-angle cosine sqrt((n-1)/(n+1)); that angle test and the quadratic form
+behind it are test oracles (``tests/oracle.py``) that the criterion is held
+to, not part of the package.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
-from typing import Callable, Dict, Iterator, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import Callable, Dict, Iterator, NamedTuple, Optional, Sequence, Tuple
 
 from .gram import criterion_sign, criterion_value, power_sums
 from .measure import AtomSubset, Measure
 from .scalars import Scalar
 
 
-@dataclass(frozen=True)
-class Classification:
+class Classification(NamedTuple):
     """Embeddability verdict.
 
     verdict is "embeddable" (with the dimension), "not_embeddable" (with the
@@ -312,63 +313,6 @@ def classify(m: Measure) -> Classification:
     return is_flat(m).classification
 
 
-# -- reciprocal-space cone cross-check ----------------------------------------
-
-def reciprocal_form_matrix(n: int) -> np.ndarray:
-    """The (n+1) x (n+1) quadratic form with diagonal n-2 and off-diagonal -1.
-
-    Its value at z is (n-1) sum z^2 - (sum z)^2, i.e. minus the cone
-    criterion; the spectrum is n-1 with multiplicity n plus a single -2 on
-    the all-ones axis.
-    """
-    if n < 3:
-        raise ValueError(f"the cone form needs n >= 3, got {n}")
-    a = -np.ones((n + 1, n + 1))
-    np.fill_diagonal(a, n - 2)
-    return a
-
-
-def cone_half_angle_cos(n: int) -> float:
-    """Cosine of the half-angle of the solid cone image of the flat region.
-
-    On the axis-aligned side of the orthogonal change of basis the region is
-    (n-1) |y_perp|^2 <= 2 y_axis^2, from the form's spectrum {n-1, -2}; the
-    aperture therefore has tan^2 = 2/(n-1), i.e. cos = sqrt((n-1)/(n+1)).
-    """
-    if n < 3:
-        raise ValueError(f"the cone aperture needs n >= 3, got {n}")
-    return math.sqrt((n - 1) / (n + 1))
-
-
-def cone_axis_cos(xs) -> float:
-    """Cosine of the angle between the reciprocal image of xs and the axis.
-
-    The reciprocal image is z = (1/x_0, ..., 1/x_n); the cone axis is the
-    all-ones direction.  Computed through the mean-centered perpendicular
-    component, which is stable near the axis: uniform weights give exactly 1.
-    """
-    z = [1.0 / float(x) for x in xs]
-    total_sq = math.fsum(v * v for v in z)
-    mean = math.fsum(z) / len(z)
-    perp_sq = math.fsum((v - mean) ** 2 for v in z)
-    return math.sqrt(max(0.0, 1.0 - perp_sq / total_sq))
-
-
-def cone_membership(xs) -> bool:
-    """Whether the reciprocal image of xs lies inside the solid cone.
-
-    Agrees with reduced_criterion(xs) >= 0: the cone is exactly the
-    reciprocal image of the nonnegative-determinant region.
-    """
-    xs = tuple(xs)
-    n = len(xs) - 1
-    if n < 3:
-        raise ValueError(f"cone membership needs at least four weights, got {len(xs)}")
-    if any(not (x > 0) for x in xs):
-        raise ValueError(f"weights must be strictly positive, got {xs}")
-    return cone_axis_cos(xs) >= cone_half_angle_cos(n)
-
-
 __all__ = [
     "FlatnessReport",
     "Classification",
@@ -377,8 +321,4 @@ __all__ = [
     "is_flat",
     "dimension",
     "classify",
-    "reciprocal_form_matrix",
-    "cone_half_angle_cos",
-    "cone_axis_cos",
-    "cone_membership",
 ]

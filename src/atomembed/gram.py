@@ -17,6 +17,9 @@ provided and cross-checked, each in O(n) steps for exact weights:
     a diagonal plus a rank-one matrix, so the quadratic form needs only two
     power sums.
 
+The cofactor adjugate, the general determinant lemma and the Gram matrix
+built from the weights alone are test oracles, in ``tests/oracle.py``.
+
 The sign, which is all that classification needs, is that of the cone
 criterion (sum z)^2 - (n-1) sum z^2 at the reciprocals z = 1/x, taken once
 per measure.  :func:`criterion_sign`, shared by the flatness route and
@@ -31,11 +34,10 @@ route passes Z = z * den, whose criterion is den^2 times that of z.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Tuple
+from typing import NamedTuple, Optional, Sequence, Tuple
 
-from .measure import DistanceMatrix, Measure
+from .measure import DistanceMatrix
 from .scalars import BOUNDARY_MARGIN, EXACT, FLOAT, Scalar, infer_mode
 
 
@@ -43,8 +45,7 @@ class GramError(ValueError):
     """Invalid simplex or matrix input."""
 
 
-@dataclass(frozen=True)
-class GramMatrix:
+class GramMatrix(NamedTuple):
     """n x n matrix of triple products for an (n+1)-point simplex.
 
     ``points`` lists the simplex in order; the first entry is the base point
@@ -94,30 +95,6 @@ def gram_matrix(d: DistanceMatrix, simplex: Sequence[int]) -> GramMatrix:
         tuple(triple_product(d, a, b, base) for b in rest) for a in rest
     )
     return GramMatrix(entries=rows, points=pts, mode=d.mode)
-
-
-def atom_gram_matrix(m: Measure, simplex: Sequence[int]) -> GramMatrix:
-    """Same matrix built straight from the weights.
-
-    Diagonal entries are (x_0 + x_i)^2 and off-diagonal entries
-    x_0^2 + x_0 x_i + x_0 x_j - x_i x_j, with x_0 the base weight.  Used as
-    an independent route against :func:`gram_matrix` over the atom metric.
-    """
-    pts = tuple(int(p) for p in simplex)
-    if len(set(pts)) != len(pts):
-        raise GramError(f"duplicate points in simplex {pts}")
-    if any(p < 0 or p >= m.size for p in pts):
-        raise GramError(f"simplex {pts} out of range for {m.size} atoms")
-    x0 = m.weights[pts[0]]
-    rest = [m.weights[p] for p in pts[1:]]
-    rows = tuple(
-        tuple(
-            (x0 + xi) ** 2 if i == j else x0 * x0 + x0 * xi + x0 * xj - xi * xj
-            for j, xj in enumerate(rest)
-        )
-        for i, xi in enumerate(rest)
-    )
-    return GramMatrix(entries=rows, points=pts, mode=m.mode)
 
 
 # -- determinants -------------------------------------------------------------
@@ -257,41 +234,6 @@ def det_pivots(xs: Sequence[Scalar]) -> Optional[Fraction]:
             return None
         det *= pivot
     return det
-
-
-def adjugate(matrix):
-    """Adjugate by cofactors: Adj(A)[i][j] = (-1)^(i+j) det(minor_ji).
-
-    Satisfies A Adj(A) = det(A) I; for 1 x 1 matrices the adjugate is [[1]].
-    """
-    rows = _as_rows(matrix)
-    n = len(rows)
-    if n == 1:
-        return ((rows[0][0] ** 0,),)  # one in the entry's own type
-    out = []
-    for i in range(n):
-        out_row = []
-        for j in range(n):
-            minor = [
-                [rows[r][c] for c in range(n) if c != i]
-                for r in range(n) if r != j
-            ]
-            cof = det_numeric(minor)
-            out_row.append(cof if (i + j) % 2 == 0 else -cof)
-        out.append(tuple(out_row))
-    return tuple(out)
-
-
-def matrix_det_lemma(matrix, u: Sequence[Scalar], v: Sequence[Scalar]) -> Scalar:
-    """det(A + u v^t) evaluated as det(A) + v^t Adj(A) u."""
-    rows = _as_rows(matrix)
-    n = len(rows)
-    if len(u) != n or len(v) != n:
-        raise GramError(f"vector length must match matrix order {n}, "
-                        f"got {len(u)} and {len(v)}")
-    adj = adjugate(rows)
-    correction = sum(v[i] * adj[i][j] * u[j] for i in range(n) for j in range(n))
-    return det_numeric(rows) + correction
 
 
 def det_lemma_route(xs: Sequence[Scalar]) -> Scalar:

@@ -2,8 +2,11 @@
 the Kolmogorov metric they induce.
 
 A measure is a weight vector (x_0, ..., x_k) with every x_a > 0.  Two
-distinct atoms a, b are at distance m(a) + m(b); two arbitrary elements of
-the powerset algebra are at the measure of their symmetric difference.
+distinct atoms a, b are at distance m(a) + m(b), which is all the package
+needs of the metric; the distance between arbitrary elements of the
+powerset algebra, the measure of their symmetric difference, is a test
+oracle (``tests/oracle.py``).  Float totals need numpy, which is imported
+only on that branch, so exact measures never load it.
 """
 
 from __future__ import annotations
@@ -11,11 +14,8 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence, Tuple
-
-import numpy as np
+from typing import Iterable, NamedTuple, Sequence, Tuple
 
 from .scalars import (
     EXACT,
@@ -46,8 +46,7 @@ class DegenerateWeightWarning(UserWarning):
 AtomSubset = Tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class Measure:
+class Measure(NamedTuple):
     """Immutable weight vector on k+1 atoms.
 
     ``mode`` is "exact" (all weights Fractions) or "float".  ``normalized``
@@ -76,7 +75,14 @@ class Measure:
     def total(self) -> Scalar:
         if self.mode == EXACT:
             return sum(self.weights, Fraction(0))
-        return float(np.sum(np.asarray(self.weights, dtype=float)))
+        return _float_total(self.weights)
+
+
+def _float_total(weights) -> float:
+    """numpy's pairwise sum, which normalized float weights depend on bit for bit."""
+    import numpy as np
+
+    return float(np.sum(np.asarray(weights, dtype=float)))
 
 
 def validate_measure(raw_weights: Sequence, mode: str = "auto",
@@ -110,7 +116,7 @@ def validate_measure(raw_weights: Sequence, mode: str = "auto",
                 stacklevel=2,
             )
     if normalize:
-        total = sum(weights) if actual_mode == EXACT else float(np.sum(weights))
+        total = sum(weights) if actual_mode == EXACT else _float_total(weights)
         weights = tuple(w / total for w in weights)
     return Measure(weights=weights, mode=actual_mode,
                    normalized=_is_normalized(weights, actual_mode))
@@ -123,8 +129,7 @@ def _is_normalized(weights, mode) -> bool:
     return abs(float(total) - 1.0) <= NORMALIZATION_TOLERANCE
 
 
-@dataclass(frozen=True)
-class DistanceMatrix:
+class DistanceMatrix(NamedTuple):
     """Symmetric matrix of pairwise distances with zero diagonal."""
 
     entries: Tuple[Tuple[Scalar, ...], ...]
@@ -139,57 +144,9 @@ class DistanceMatrix:
         return self.entries[i][j]
 
     def as_array(self) -> np.ndarray:
+        import numpy as np
+
         return np.asarray(self.entries, dtype=float)
-
-
-def distance_matrix(entries: Sequence[Sequence[Scalar]], mode: str = "auto") -> DistanceMatrix:
-    """Validate the metric axioms and freeze the matrix.
-
-    Entries must be finite.  Symmetry and the zero diagonal are checked
-    exactly; in float mode the triangle inequality is allowed a relative
-    slack of 1e-12 to absorb rounding of sums.
-    """
-    n = len(entries)
-    if n < 2:
-        raise MeasureError("a distance matrix needs at least two points")
-    flat = [v for row in entries for v in row]
-    if any(len(row) != n for row in entries):
-        raise MeasureError("distance matrix must be square")
-    actual_mode = infer_mode(parse_scalar(v) for v in flat) if mode == "auto" else mode
-    rows = tuple(coerce((parse_scalar(v) for v in row), actual_mode) for row in entries)
-    for i, row in enumerate(rows):
-        for j, v in enumerate(row):
-            if actual_mode == FLOAT and not math.isfinite(v):
-                raise MeasureError(f"non-finite distance at ({i},{j}): {v}")
-    scale = max(abs(float(v)) for v in flat) or 1.0
-    slack = 0 if actual_mode == EXACT else 1e-12 * scale
-    for i in range(n):
-        if rows[i][i] != 0:
-            raise MeasureError(f"nonzero diagonal at {i}: {rows[i][i]}")
-        for j in range(n):
-            if rows[i][j] != rows[j][i]:
-                raise MeasureError(f"asymmetric entries at ({i},{j})")
-            if i != j and not (rows[i][j] > 0):
-                raise MeasureError(f"non-positive distance at ({i},{j}): {rows[i][j]}")
-    for i in range(n):
-        for j in range(n):
-            for l in range(n):
-                if rows[i][l] > rows[i][j] + rows[j][l] + slack:
-                    raise MeasureError(
-                        f"triangle inequality fails for ({i},{j},{l}): "
-                        f"{rows[i][l]} > {rows[i][j]} + {rows[j][l]}"
-                    )
-    return DistanceMatrix(entries=rows, mode=actual_mode)
-
-
-def atom_distance(m: Measure, i: int, j: int) -> Scalar:
-    """Distance between two atoms: 0 when i == j, else x_i + x_j."""
-    k1 = m.size
-    if not (0 <= i < k1 and 0 <= j < k1):
-        raise MeasureError(f"atom index out of range: ({i},{j}) for {k1} atoms")
-    if i == j:
-        return Fraction(0) if m.mode == EXACT else 0.0
-    return m.weights[i] + m.weights[j]
 
 
 def atom_metric(m: Measure) -> DistanceMatrix:
@@ -200,49 +157,6 @@ def atom_metric(m: Measure) -> DistanceMatrix:
         for i in range(m.size)
     )
     return DistanceMatrix(entries=rows, mode=m.mode)
-
-
-def atom_subset(indices: Iterable[int], size: int) -> AtomSubset:
-    """Canonical sorted tuple of atom indices, checked for range and duplicates."""
-    idx = tuple(sorted(int(i) for i in indices))
-    if any(i < 0 or i >= size for i in idx):
-        raise MeasureError(f"subset {idx} out of range for {size} atoms")
-    if len(set(idx)) != len(idx):
-        raise MeasureError(f"subset {idx} contains duplicate indices")
-    return idx
-
-
-def complement(subset: Iterable[int], size: int) -> AtomSubset:
-    chosen = set(subset)
-    return tuple(i for i in range(size) if i not in chosen)
-
-
-def powerset_distance(m: Measure, a: Iterable[int], b: Iterable[int]) -> Scalar:
-    """Kolmogorov distance between two algebra elements given as atom sets.
-
-    Equals the total weight of the symmetric difference of the two sets.
-    """
-    sa = set(atom_subset(a, m.size))
-    sb = set(atom_subset(b, m.size))
-    sym = sa.symmetric_difference(sb)
-    zero = Fraction(0) if m.mode == EXACT else 0.0
-    return sum((m.weights[i] for i in sorted(sym)), zero)
-
-
-def powerset_metric(m: Measure, elements: Sequence[Iterable[int]]) -> DistanceMatrix:
-    """Distance matrix over arbitrary algebra elements (atom sets).
-
-    The elements must be pairwise distinct as sets, otherwise the zero
-    distance between duplicates violates the metric axioms.
-    """
-    sets = [frozenset(atom_subset(e, m.size)) for e in elements]
-    if len(set(sets)) != len(sets):
-        raise MeasureError("powerset metric requires pairwise distinct elements")
-    rows = [
-        [powerset_distance(m, a, b) for b in sets]
-        for a in sets
-    ]
-    return distance_matrix(rows, mode=m.mode)
 
 
 # -- JSON interchange ---------------------------------------------------------

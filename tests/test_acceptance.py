@@ -19,8 +19,6 @@ from atomembed import (
     binomial_family,
     bisect_boundary,
     classify,
-    cone_half_angle_cos,
-    cone_membership,
     criterion_sign,
     criterion_table,
     det_closed_form,
@@ -30,9 +28,7 @@ from atomembed import (
     gram_matrix,
     is_flat,
     mixture,
-    powerset_metric,
     realize,
-    reciprocal_form_matrix,
     reduced_criterion,
     sample_simplex,
     uniform_family,
@@ -40,6 +36,12 @@ from atomembed import (
 )
 from atomembed.scalars import format_decimal
 from conftest import float_tuple, rational_tuple
+from oracle import (
+    cone_half_angle_cos,
+    cone_membership,
+    powerset_metric,
+    reciprocal_form_matrix,
+)
 
 
 def report(cid: str, ok: bool, detail: str = ""):

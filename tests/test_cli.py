@@ -200,8 +200,11 @@ class TestNonFiniteValues:
 
     @pytest.mark.parametrize("command", ["det", "embed"])
     def test_overflowing_triple_product_exits_one(self, capsys, tmp_path, command):
-        # (1 + 1e200)^2 does not fit a double
-        path = write_measure(tmp_path, "h.json", [1.0, 1.0, 1.0, 1e200])
+        # (1 + 1e200)^2 does not fit a double.  embed scales float weights by
+        # a power of two first, so it embeds that measure; at 1e308 the light
+        # weights, scaled by 2^-512, have squares below the normal range
+        heavy = {"det": 1e200, "embed": 1e308}[command]
+        path = write_measure(tmp_path, "h.json", [1.0, 1.0, 1.0, heavy])
         code, out, err = run(capsys, command, path)
         assert code == 1
         assert out == ""
@@ -380,9 +383,11 @@ class TestEmbedCommand:
         assert err == ("atomembed: invalid input: the embedding coordinates or their "
                        "squares are beyond double range\n")
 
-    @pytest.mark.parametrize("weights", [[1e-300] * 3, ["1/" + "1" + "0" * 210] * 3])
+    @pytest.mark.parametrize("weights", [[1e-310] * 3, ["1/" + "1" + "0" * 210] * 3])
     def test_squares_below_double_range_exit_one(self, capsys, tmp_path, weights):
-        # embeddable at any scale, but x^2 is below the smallest normal double
+        # embeddable at any scale, but x^2 is below the smallest normal double;
+        # a subnormal float weight stays refused after rescaling, because its
+        # coordinates would keep fewer bits than the residual check sees
         path = write_measure(tmp_path, "t.json", weights)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", DegenerateWeightWarning)
@@ -391,11 +396,26 @@ class TestEmbedCommand:
         assert err == ("atomembed: invalid input: the embedding coordinates or their "
                        "squares are beyond double range\n")
 
+    def test_float_squares_below_double_range_embed(self, capsys, tmp_path):
+        # the weights are scaled by 2^996 before the recurrence and the
+        # coordinates scaled back, so no square leaves the double range
+        path = write_measure(tmp_path, "t.json", [1e-300] * 3)
+        with pytest.warns(DegenerateWeightWarning):
+            code, out, err = run(capsys, "embed", path)
+        assert code == 0
+        summary = json.loads(err)
+        assert (summary["dimension"], summary["base"]) == (2, 0)
+        assert summary["max_residual"] <= 1e-12
+        rows = [[float(v) for v in row.split(",")] for row in out.splitlines()[1:]]
+        assert rows[1] == [2e-300, 0.0]
+        assert math.dist(rows[1], rows[2]) == pytest.approx(2e-300, rel=1e-15)
+
     @pytest.mark.parametrize("weights, dim", [
         ([1, 1, 1, 10**12], 3),
         ([3, 3, 3, 3, 3, 10**8], 5),
         ([10**12, 1, 1, 1], 3),
         ([1, 1, 1, 1, 10**12, 10**24], 5),
+        ([1.0, 1.0, 1.0, 1e200], 3),
     ])
     def test_wide_ratio_measures_embed(self, capsys, tmp_path, weights, dim):
         # an absolute residual bound cannot be met at distance 10^12

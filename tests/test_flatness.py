@@ -4,27 +4,33 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from atomembed import (
     binomial_family,
     checked_subsets,
     classify,
-    complement,
-    cone_axis_cos,
-    cone_half_angle_cos,
-    cone_membership,
     criterion_table,
     det_numeric,
     dimension,
+    embed,
     gram_matrix,
     is_flat,
-    powerset_metric,
     realize,
     reduced_criterion,
     uniform_family,
     validate_measure,
 )
-from conftest import float_tuple, rational_tuple
+from conftest import float_tuple, rational_tuple, zero_criterion_weights
+from oracle import (
+    complement,
+    cone_axis_cos,
+    cone_half_angle_cos,
+    cone_membership,
+    powerset_metric,
+    reciprocal_form_matrix,
+)
 
 
 def binom(n):
@@ -208,6 +214,33 @@ class TestCone:
             cone_membership((1.0, 1.0, 1.0))
 
 
+rationals = st.builds(Fraction, st.integers(1, 40), st.integers(1, 40))
+near_uniform = st.builds(Fraction, st.integers(90, 110), st.just(100))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(
+    st.lists(rationals, min_size=4, max_size=10),
+    st.lists(near_uniform, min_size=4, max_size=10),
+    st.builds(zero_criterion_weights, rationals, rationals, rationals),
+))
+def test_verdicts_carry_certificates_from_the_paper_metric(weights):
+    # the criterion is not consulted: an N witness must span a simplex of
+    # the paper's d_m (the measure of the symmetric difference, here on the
+    # singletons) whose exact Gram determinant is negative, and an E
+    # verdict must come with coordinates that realize d_m
+    m = validate_measure(weights)
+    cls = classify(m)
+    if cls.verdict == "not_embeddable":
+        d = powerset_metric(m, [[i] for i in range(m.size)])
+        assert det_numeric(gram_matrix(d, cls.witness)) < 0
+    else:
+        assert cls.verdict == "embeddable"
+        result = embed(m)
+        assert result.dimension == cls.dimension
+        assert result.max_residual <= 1e-12
+
+
 class TestPowersetNeverFlat:
     def test_half_half_four_point_determinant(self):
         m = validate_measure(["1/2", "1/2"])
@@ -240,15 +273,13 @@ class TestPowersetNeverFlat:
 
 class TestReciprocalForm:
     def test_spectrum(self):
-        from atomembed import reciprocal_form_matrix
-
         for n in range(3, 8):
             eig = np.linalg.eigvalsh(reciprocal_form_matrix(n))
             assert eig[0] == pytest.approx(-2.0, abs=1e-9)
             assert np.allclose(eig[1:], n - 1, atol=1e-9)
 
     def test_form_evaluates_minus_cone_criterion(self, rng):
-        from atomembed import criterion_sign, reciprocal_form_matrix
+        from atomembed import criterion_sign
 
         for n in (3, 5):
             z = np.array(float_tuple(rng, n + 1))

