@@ -48,9 +48,9 @@ from functools import cached_property
 from itertools import combinations
 from typing import Callable, Dict, Iterator, NamedTuple, Optional, Sequence, Tuple
 
-from .gram import criterion_sign, criterion_value, power_sums
+from .gram import criterion_sign, criterion_value, float_sums, scaled_back
 from .measure import AtomSubset, Measure
-from .scalars import Scalar
+from .scalars import Scalar, over_common_denominator
 
 
 class Classification(NamedTuple):
@@ -65,10 +65,6 @@ class Classification(NamedTuple):
     dimension: Optional[int] = None
     witness: Optional[AtomSubset] = None
     reason: Optional[str] = None
-
-    @property
-    def letter(self) -> str:
-        return {"embeddable": "E", "not_embeddable": "N", "indeterminate": "I"}[self.verdict]
 
 
 class _Values(dict):
@@ -87,8 +83,7 @@ class _Values(dict):
         if isinstance(zs[0], float):
             self.terms, self.den2 = zs, None
         else:
-            den = math.lcm(*(z.denominator for z in zs))
-            self.terms = tuple(z.numerator * (den // z.denominator) for z in zs)
+            self.terms, den = over_common_denominator(zs)
             self.den2 = den * den
         self.signs: Dict[AtomSubset, str] = {}
 
@@ -250,15 +245,17 @@ def criterion_table(m: Measure) -> Dict[AtomSubset, Scalar]:
     values equal those of :class:`FlatnessReport`, and no sign is kept.  In
     exact mode one depth-first pass per size carries the running integer
     sums of Z and Z² over one common denominator, so a row costs O(1) plus
-    its Fraction(value, den²); float rows keep one correctly rounded pair of
-    power sums each.
+    its Fraction(value, den²); float rows keep one pair of :func:`float_sums`
+    each, so they equal the values the verdict is read from.
     """
     values = _Values(m.reciprocals())
     terms, den2 = values.terms, values.den2
-    if den2 is None:
-        return {sub: criterion_value(*power_sums([terms[i] for i in sub]), len(sub))
-                for sub in checked_subsets(m.size)}
     table: Dict[AtomSubset, Scalar] = {}
+    if den2 is None:
+        for sub in checked_subsets(m.size):
+            s1, s2, e = float_sums([terms[i] for i in sub])
+            table[sub] = scaled_back(criterion_value(s1, s2, len(sub)), e)
+        return table
     squares = tuple(z * z for z in terms)
     for size in range(4, m.size + 1):
         _exact_rows(table, terms, squares, den2, size, (), 0, 0, 0)

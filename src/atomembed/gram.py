@@ -6,7 +6,7 @@ of atoms can be realized in Euclidean space.  Three independent routes are
 provided and cross-checked, each in O(n) steps for exact weights:
 
   * the closed form 2^(n-1) * (E^2 - (n-1) Q), where E and Q are the sums of
-    the products of all weights but one and of their squares;
+    the products of all weights but one and of their squares, on integers;
   * elimination: for exact weights, :func:`det_pivots` multiplies the pivots
     of the LDL^T that ``embed`` also runs (:func:`_ldl_pivots`, on a 2x2
     state); float weights and exact zero pivots take :func:`det_numeric` of
@@ -17,6 +17,9 @@ provided and cross-checked, each in O(n) steps for exact weights:
     a diagonal plus a rank-one matrix, so the quadratic form needs only two
     power sums.
 
+The closed form and the rank-one route are exact, on float weights too (a
+double is a dyadic rational): they round once, to the same double.
+
 The cofactor adjugate, the general determinant lemma and the Gram matrix
 built from the weights alone are test oracles, in ``tests/oracle.py``.
 
@@ -24,7 +27,8 @@ The sign, which is all that classification needs, is that of the cone
 criterion (sum z)^2 - (n-1) sum z^2 at the reciprocals z = 1/x, taken once
 per measure.  :func:`criterion_sign`, shared by the flatness route and
 ``det``, forms one pair of power sums per subset (exact over integers or
-Fractions, math.fsum over floats) and returns the value with its sign; the
+Fractions, math.fsum over floats scaled by a power of two where their
+squares leave double range) and returns the value with its sign; the
 other criterion functions are validating wrappers over the same sums, and
 :func:`criterion_value` is the one place the formula is written.
 Exact values may be integers over one common denominator: the flatness
@@ -38,7 +42,7 @@ from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence, Tuple
 
 from .measure import DistanceMatrix
-from .scalars import BOUNDARY_MARGIN, EXACT, FLOAT, Scalar, infer_mode
+from .scalars import BOUNDARY_MARGIN, EXACT, FLOAT, Scalar, infer_mode, over_common_denominator
 
 
 class GramError(ValueError):
@@ -137,8 +141,8 @@ def _det_bareiss(rows) -> Fraction:
     Rows are swapped only to skip a zero pivot.
     """
     n = len(rows)
-    den = math.lcm(*(a.denominator for row in rows for a in row))
-    m = [[a.numerator * (den // a.denominator) for a in row] for row in rows]
+    flat, den = over_common_denominator([a for row in rows for a in row])
+    m = [list(flat[i:i + n]) for i in range(0, n * n, n)]
     sign, prev = 1, 1
     for k in range(n - 1):
         if m[k][k] == 0:
@@ -246,142 +250,50 @@ def det_lemma_route(xs: Sequence[Scalar]) -> Scalar:
 
         2^(n-1) P^2 ((2 - n) + 2 sum r + (sum r)^2 - (n-1) sum r^2).
 
-    The bracket cancels near the boundary, so floats evaluate it by
-    :func:`_lemma_bracket_float`.  A float weight x_i whose square
-    underflows, so that the adjugate's 1/(x_i x_j) has no double, is refused
-    with a GramError.
+    The value is exact, and rounded once to a double for float weights.
     """
-    xs = tuple(xs)
+    xs = _checked(xs, "rank-one route", "weights")
     n = len(xs) - 1
-    if n < 2:
-        raise GramError("the rank-one route needs at least three weights")
-    _check_positive(xs)
-    x0, tail = xs[0], xs[1:]
-    scale = (2 ** (n - 1)) * math.prod(x * x for x in tail)
-    if infer_mode(xs) == EXACT:
-        x0 = Fraction(x0)
-        r1, r2 = power_sums([x0 / x for x in tail])
-        return scale * ((2 - n) + 2 * r1 + r1 * r1 - (n - 1) * r2)
-    lightest = float(min(tail))
-    if lightest * lightest == 0:
-        raise GramError(f"the rank-one route underflows in double precision for "
-                        f"weights {xs}; supply rational weights")
-    return scale * _lemma_bracket_float(float(x0), [float(x) for x in tail])
+    x0, *tail = map(Fraction, xs)
+    rs = [x0 / x for x in tail]
+    r1, r2 = sum(rs), sum(r * r for r in rs)
+    value = (2 ** (n - 1)) * math.prod(x * x for x in tail) * (
+        (2 - n) + 2 * r1 + r1 * r1 - (n - 1) * r2)
+    return value if infer_mode(xs) == EXACT else _rounded(value)
 
 
-def _lemma_bracket_float(x0: float, tail: Sequence[float]) -> float:
-    """(2 - n) + 2 sum r + (sum r)^2 - (n-1) sum r^2 at r = x0 / x, nearly exact.
-
-    Each r is carried as a pair hi + lo of doubles and every square is split
-    into two doubles by :func:`_two_product`, so math.fsum adds terms that
-    are exact to about 2^-100 of the largest; the rounding of that sum is
-    most of the error left.  Ratios of weights beyond about 10^154, whose
-    squares overflow, give a non-finite value.
-    """
-    n = len(tail)
-    rs = []
-    for x in tail:
-        hi = x0 / x
-        p, e = _two_product(hi, x)
-        rs.append((hi, ((x0 - p) - e) / x))  # x0 - hi x, divided by x
-    parts = [t for r in rs for t in r]
-    r1 = math.fsum(parts)
-    r1_lo = math.fsum(parts + [-r1])
-    terms = [2.0 - n, 2 * r1, 2 * r1_lo, *_two_product(r1, r1), 2 * r1 * r1_lo]
-    for hi, lo in rs:
-        for t in (*_two_product(hi, hi), 2 * hi * lo):
-            terms.extend(_two_product(t, 1.0 - n))
-    return math.fsum(terms)
-
-
-def _two_product(a: float, b: float) -> Tuple[float, float]:
-    """(p, e) with p = a * b rounded and p + e = a * b exactly (Dekker).
-
-    Exact while a, b and the product stay well inside double range.
-    """
-    p = a * b
-    a1, a2 = _split(a)
-    b1, b2 = _split(b)
-    return p, ((a1 * b1 - p) + a1 * b2 + a2 * b1) + a2 * b2
-
-
-def _split(a: float) -> Tuple[float, float]:
-    """a = hi + lo with at most 26 significant bits in each part."""
-    c = 134217729.0 * a  # 2^27 + 1
-    hi = c - (c - a)
-    return hi, a - hi
-
-
-def _check_positive(xs):
-    if any(not (x > 0) for x in xs):
-        raise GramError(f"weights must be strictly positive, got {tuple(xs)}")
+def _rounded(value: Fraction) -> float:
+    """The double nearest ``value``, or +-inf beyond double range."""
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
 
 
 def det_closed_form(xs: Sequence[Scalar]) -> Scalar:
     """Closed-form determinant 2^(n-1) (E^2 - (n-1) Q) of the atom Gram matrix.
 
     E is the sum over a of the product of all weights but x_a, Q the same sum
-    of squared products.  In float mode the products are evaluated in log
-    space once they leave the comfortable range of doubles, so tuples of
-    dozens of small probabilities neither underflow nor overflow.
+    of squared products.  Over one common denominator, x_a = X_a / D, each
+    product is (P // X_a) / D^n with P = prod X, so the value is an integer
+    over D^(2n): exact, and rounded once to a double for float weights.
     """
-    xs = tuple(xs)
+    xs = _checked(xs, "closed form", "weights")
     n = len(xs) - 1
-    if n < 2:
-        raise GramError("the closed form needs at least three weights")
-    _check_positive(xs)
-    if infer_mode(xs) == EXACT:
-        prod = math.prod(xs, start=Fraction(1))
-        e = sum(prod / x for x in xs)
-        q = sum((prod / x) ** 2 for x in xs)
-        return (2 ** (n - 1)) * (e * e - (n - 1) * q)
-    return _det_closed_float(tuple(float(x) for x in xs), n)
-
-
-def _det_closed_float(xs: Tuple[float, ...], n: int) -> float:
-    prod = math.prod(xs)
-    if 1e-280 < abs(prod) < 1e280:
-        partials = [prod / x for x in xs]
-        e = math.fsum(partials)
-        q = math.fsum(t * t for t in partials)
-        if math.isfinite(e) and math.isfinite(q):
-            value = (2.0 ** (n - 1)) * (e * e - (n - 1) * q)
-            # mixed extreme weights can blow up E^2 even when the full
-            # product is tame; only trust a finite direct evaluation
-            if math.isfinite(value):
-                return value
-    # guarded route: factor exp(2*max log-product) out of E^2 - (n-1) Q
-    logs = [math.log(x) for x in xs]
-    total = math.fsum(logs)
-    partial = [total - l for l in logs]
-    top = max(partial)
-    u = [math.exp(p - top) for p in partial]
-    su = math.fsum(u)
-    sq = math.fsum(ui * ui for ui in u)
-    bracket = su * su - (n - 1) * sq
-    log_scale = 2.0 * top + (n - 1) * math.log(2.0)
-    try:
-        scale = math.exp(log_scale)
-    except OverflowError:
-        return math.inf if bracket > 0 else (-math.inf if bracket < 0 else 0.0)
-    return bracket * scale
-
-
-def power_sums(zs):
-    """(sum z, sum z^2): correctly rounded over floats, exact otherwise.
-
-    Exact sums keep the type of their terms: integers give integers,
-    Fractions give Fractions.
-    """
-    if isinstance(zs[0], float):
-        return math.fsum(zs), math.fsum(z * z for z in zs)
-    return sum(zs), sum(z * z for z in zs)
+    ints, den = over_common_denominator(tuple(map(Fraction, xs)))
+    prod = math.prod(ints)
+    partials = [prod // x for x in ints]
+    e, q = sum(partials), sum(p * p for p in partials)
+    value = Fraction((2 ** (n - 1)) * (e * e - (n - 1) * q), den ** (2 * n))
+    return value if infer_mode(xs) == EXACT else _rounded(value)
 
 
 def criterion_value(s1: Scalar, s2: Scalar, count: int) -> Scalar:
     """The cone criterion s1^2 - (count-2) s2 of ``count`` reciprocals.
 
-    s1 and s2 are their sum and sum of squares, as from :func:`power_sums`.
+    s1 and s2 are their sum and sum of squares: exact sums keep the type of
+    their terms (integers or Fractions), float sums come from
+    :func:`float_sums`.
     """
     return s1 * s1 - (count - 2) * s2
 
@@ -390,22 +302,54 @@ def criterion_sign(zs: Sequence[Scalar]) -> Tuple[Scalar, str]:
     """(value, sign) of the cone criterion (sum z)^2 - (n-1) sum z^2.
 
     The n+1 >= 3 reciprocals are validated by the caller and all floats or all
-    exact (ints or Fractions); the float scale (sum z)^2 + (n-1) sum z^2 is
-    built only for floats.  Integers Z = z * den give the integer value
-    den^2 times that of z, with the same sign.
+    exact (ints or Fractions).  Integers Z = z * den give the integer value
+    den^2 times that of z, with the same sign.  Floats are signed on the
+    sums of :func:`float_sums`, against the scale (sum z)^2 + (n-1) sum z^2
+    of the same sums, so reciprocals anywhere in double range get the sign
+    of their own criterion.
     """
-    s1, s2 = power_sums(zs)
+    if not isinstance(zs[0], float):
+        value = criterion_value(sum(zs), sum(z * z for z in zs), len(zs))
+        return value, sign_verdict(value, 0.0, EXACT)
+    s1, s2, e = float_sums(zs)
     value = criterion_value(s1, s2, len(zs))
-    if isinstance(value, float):
-        return value, sign_verdict(value, s1 * s1 + (len(zs) - 2) * s2, FLOAT)
-    return value, sign_verdict(value, 0.0, EXACT)
+    return scaled_back(value, e), sign_verdict(value, s1 * s1 + (len(zs) - 2) * s2, FLOAT)
+
+
+def float_sums(zs: Sequence[float]) -> Tuple[float, float, int]:
+    """(s1, s2, e): the correctly rounded sum and sum of squares of z * 2^-e.
+
+    e is 0 when sum z^2 lies in [2^-900, 2^900]: no square overflows there,
+    and one that underflows is far below the boundary margin of the sum.
+    Otherwise e is the binary exponent of the largest finite z, so that the
+    largest scaled z lies in [1/2, 1).  The criterion of z is 4^e times that
+    of the scaled values (:func:`scaled_back`).
+    """
+    try:
+        s1, s2 = math.fsum(zs), math.fsum(z * z for z in zs)
+    except OverflowError:  # finite terms whose sum is beyond double range
+        s2 = math.inf
+    if 2.0 ** -900 <= s2 <= 2.0 ** 900:
+        return s1, s2, 0
+    e = math.frexp(max((z for z in zs if z < math.inf), default=1.0))[1]
+    zs = [math.ldexp(z, -e) for z in zs]
+    return math.fsum(zs), math.fsum(z * z for z in zs), e
+
+
+def scaled_back(value: float, e: int) -> float:
+    """value * 4^e, or +-inf beyond double range."""
+    try:
+        return math.ldexp(value, 2 * e)
+    except OverflowError:
+        return math.copysign(math.inf, value)
 
 
 def _checked(values, what: str, noun: str) -> Tuple[Scalar, ...]:
     values = tuple(values)
     if len(values) < 3:
         raise GramError(f"the {what} needs at least three {noun}")
-    _check_positive(values)
+    if any(not (0 < x < math.inf) for x in values):
+        raise GramError(f"{noun} must be strictly positive and finite, got {values}")
     return values
 
 
@@ -431,8 +375,8 @@ def criterion_scale(xs: Sequence[Scalar]) -> float:
         except (OverflowError, ZeroDivisionError) as exc:
             raise GramError(f"weight at index {i} is beyond double range; "
                             f"the criterion scale is a float quantity") from exc
-    s1, s2 = power_sums(zs)
-    return s1 * s1 + (len(xs) - 2) * s2
+    s1, s2, e = float_sums(zs)
+    return scaled_back(s1 * s1 + (len(xs) - 2) * s2, e)
 
 
 def sign_verdict(value: Scalar, scale: float, mode: str) -> str:
@@ -441,8 +385,8 @@ def sign_verdict(value: Scalar, scale: float, mode: str) -> str:
     Exact values report "positive" / "negative" / "zero"; float values whose
     magnitude is below BOUNDARY_MARGIN times the expression scale report
     "boundary" because the true sign is not resolvable at double precision.
-    A non-finite float value (overflowed reciprocal sums) carries no sign
-    and is "boundary" too.
+    A non-finite float value (a reciprocal beyond double range) carries no
+    sign and is "boundary" too.
     """
     if mode == EXACT:
         if value > 0:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Union
+from typing import Iterable, Tuple, Union
 
 Scalar = Union[Fraction, float]
 
@@ -77,6 +77,15 @@ def coerce(values, mode: str):
             )
         out.append(Fraction(v))
     return tuple(out)
+
+
+def over_common_denominator(values) -> Tuple[Tuple[int, ...], int]:
+    """(numerators, den): ints or Fractions as integers over their least common denominator.
+
+    values[i] == numerators[i] / den, exactly.
+    """
+    den = math.lcm(*(v.denominator for v in values))
+    return tuple(v.numerator * (den // v.denominator) for v in values), den
 
 
 def scalar_to_json(x: Scalar):

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from atomembed import (
     DegenerateWeightWarning,
     atom_metric,
+    det_closed_form,
     det_numeric,
     gram_matrix,
     validate_measure,
@@ -176,26 +177,47 @@ class TestNonFiniteValues:
         assert err == ("atomembed: invalid input: "
                        f"non-finite weight at index 3: {shown}\n")
 
-    @pytest.mark.parametrize("tiny", [1e-300, 5e-324])
+    @pytest.mark.parametrize("tiny", [5e-324])
     def test_overflowing_criterion_is_indeterminate(self, capsys, tmp_path, tiny):
-        # the reciprocal sums overflow and the float criterion is inf - inf;
-        # the true value 3 + 6Z - Z^2 (Z = 1/tiny) is negative
+        # 1/tiny is inf, so the float criterion is inf - inf; the true value
+        # 3 + 6Z - Z^2 (Z = 1/tiny) is negative
         path = write_measure(tmp_path, "t.json", [1.0, 1.0, 1.0, tiny])
         with pytest.warns(DegenerateWeightWarning):
             code, out, _ = run(capsys, "classify", path)
         assert code == 2
         assert json.loads(out)["verdict"] == "indeterminate"
 
-    @pytest.mark.parametrize("tiny", [1e-300, 5e-324])
-    def test_det_underflow_exits_one(self, capsys, tmp_path, tiny):
+    def test_criterion_with_overflowing_squares_is_decided(self, capsys, tmp_path):
+        # Z^2 = 1e600 overflows; the reciprocals scaled by a power of two give
+        # the sign of 3 + 6Z - Z^2
+        path = write_measure(tmp_path, "t.json", [1.0, 1.0, 1.0, 1e-300])
+        with pytest.warns(DegenerateWeightWarning):
+            code, out, _ = run(capsys, "classify", path)
+        assert code == 0
+        doc = json.loads(out)
+        assert (doc["verdict"], doc["witness"]) == ("not_embeddable", [0, 1, 2, 3])
+
+    @pytest.mark.parametrize("command", ["classify", "check", "det"])
+    def test_reciprocal_sum_beyond_double_range_is_decided(self, capsys, tmp_path, command):
+        # each 1/x is about 1e308, so math.fsum of them overflows
+        path = write_measure(tmp_path, "t.json", [1e-308] * 4)
+        with pytest.warns(DegenerateWeightWarning):
+            code, out, err = run(capsys, command, path)
+        assert (code, err) == (0, "")
+        key, want = ("sign", "positive") if command == "det" else ("verdict", "embeddable")
+        assert json.loads(out)[key] == want
+
+    @pytest.mark.parametrize("tiny, code", [(1e-300, 0), (5e-324, 2)])
+    def test_det_of_a_weight_with_underflowing_square(self, capsys, tmp_path, tiny, code):
+        # both O(n) routes round the exact determinant -4 + O(tiny); the
+        # criterion is -inf (null) at 1e-300 and NaN at 5e-324, where 1/tiny is inf
         path = write_measure(tmp_path, "t.json", [1.0, 1.0, 1.0, tiny])
         with pytest.warns(DegenerateWeightWarning):
-            code, out, err = run(capsys, "det", path)
-        assert code == 1
-        assert out == ""
-        assert err.startswith("atomembed: invalid input: the rank-one route "
-                              "underflows in double precision")
-        assert "Traceback" not in err
+            got, out, err = run(capsys, "det", path)
+        assert (got, err) == (code, "")
+        doc = json.loads(out)
+        assert doc["values"]["closed"] == doc["values"]["lemma"] == -4.0
+        assert doc["criterion"] is None
 
 
     @pytest.mark.parametrize("command", ["det", "embed"])
@@ -216,8 +238,8 @@ class TestNonFiniteValues:
         }[command]
 
     @pytest.mark.parametrize("weights, argv, code, key", [
-        ([1.0, 1.0, 1.0, 1e-300], ["check"], 2, ("subset_values", "0,1,2,3")),
-        ([1.0, 1.0, 1.0, 1e-300], ["det", "--mode", "closed"], 2, ("criterion",)),
+        ([1.0, 1.0, 1.0, 1e-300], ["check"], 0, ("subset_values", "0,1,2,3")),
+        ([1.0, 1.0, 1.0, 1e-300], ["det", "--mode", "closed"], 0, ("criterion",)),
         ([1.0, 1.0, 1.0, 1e200], ["det", "--mode", "closed"], 0, ("values", "closed")),
     ])
     def test_non_finite_value_prints_null(self, capsys, tmp_path, weights, argv,
@@ -341,6 +363,21 @@ class TestDetCommand:
                       "--simplex", ",".join(map(str, pts))])
         want = det_numeric(gram_matrix(atom_metric(validate_measure(weights)), pts))
         assert json.loads(out.getvalue())["values"]["numeric"] == scalar_to_json(want)
+
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.floats(0.01, 100.0), min_size=3, max_size=12))
+    def test_float_closed_and_lemma_print_the_same_double(self, weights):
+        with tempfile.TemporaryDirectory() as work:
+            path = os.path.join(work, "m.json")
+            with open(path, "w") as fh:
+                json.dump({"weights": weights}, fh)
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                main(["det", path, "--mode", "all"])
+        values = json.loads(out.getvalue())["values"]
+        exact = det_closed_form([Fraction(w) for w in weights])
+        assert values["closed"] == values["lemma"] == float(exact)
 
 
 class TestEmbedCommand:

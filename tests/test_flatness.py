@@ -1,5 +1,6 @@
 import math
 import time
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from atomembed import (
+    DegenerateWeightWarning,
     binomial_family,
     checked_subsets,
     classify,
@@ -120,6 +122,21 @@ class TestIsFlat:
         report = is_flat(m)
         assert report.boundary == ((0, 1, 2, 3),)
         assert classify(m).verdict == "indeterminate"
+
+    @pytest.mark.parametrize("shift", [-1000, -536, 0, 536, 664, 1000])
+    def test_float_verdict_invariant_under_binary_scaling(self, shift):
+        # at the extreme shifts the squares of z = 1/x leave double range;
+        # 2^664 * [1, 1, 1, 3] is about [1e200, 1e200, 1e200, 3e200]
+        t = 3.0 + 2.0 * math.sqrt(3.0)
+        for weights, verdict in (([1.0, 1.0, 1.0, 3.0], "embeddable"),
+                                 ([1.0, 1.0, 1.0, (1 - 1e-3) / t], "not_embeddable")):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", DegenerateWeightWarning)
+                m = validate_measure([math.ldexp(w, shift) for w in weights])
+            assert classify(m).verdict == verdict
+            # check's table prints the value the verdict was read from
+            full = (0, 1, 2, 3)
+            assert criterion_table(m)[full] == is_flat(m).subset_values[full]
 
 
 class TestDimension:

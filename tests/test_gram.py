@@ -435,12 +435,27 @@ class TestDetRoutes:
         # product of up to 22 factors in 2^(n-1) P^2 and of the last steps
         assert route[2] <= 48 * 2 ** -53, route
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(-40, 40) | st.integers(-1000, 1000),
+           st.lists(st.builds(math.ldexp, st.floats(0.5, 1.0, exclude_max=True),
+                              st.integers(-20, 20)), min_size=3, max_size=12))
+    def test_float_routes_round_the_exact_determinant_once(self, scale, parts):
+        # the weights are exact dyadic rationals; Bareiss elimination of
+        # their Gram matrix in Fractions is the exact determinant
+        xs = [math.ldexp(x, scale) for x in parts]
+        exact = validate_measure([Fraction(x) for x in xs])
+        det = det_numeric(gram_matrix(atom_metric(exact), range(len(xs))))
+        try:
+            nearest = float(det)
+        except OverflowError:
+            nearest = math.inf if det > 0 else -math.inf
+        assert det_closed_form(xs) == det_lemma_route(xs) == nearest
+
     @pytest.mark.parametrize("tiny", [1e-170, 1e-300, 5e-324])
-    def test_float_weight_with_underflowing_square_is_refused(self, tiny):
-        with pytest.raises(GramError, match="underflows in double precision"):
-            det_lemma_route([1.0, 1.0, tiny, 1.0])
-        # the base weight is never squared
-        assert math.isfinite(det_lemma_route([tiny, 1.0, 1.0, 1.0]))
+    def test_float_weight_with_underflowing_square_is_rounded_exactly(self, tiny):
+        # 1/tiny^2 has no double, but the exact determinant is -4 + O(tiny)
+        for xs in ([1.0, 1.0, tiny, 1.0], [tiny, 1.0, 1.0, 1.0]):
+            assert det_lemma_route(xs) == det_closed_form(xs) == -4.0
 
 
 class TestReducedCriterion:

@@ -10,6 +10,7 @@ agree with it for ``classify``, ``is_flat``, ``dimension``, ``sweep`` and
 
 import json
 import math
+import warnings
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
@@ -22,6 +23,7 @@ import atomembed.flatness as flatness
 from atomembed import (
     EXACT,
     FLOAT,
+    DegenerateWeightWarning,
     Measure,
     checked_subsets,
     classify,
@@ -303,6 +305,22 @@ near_boundary = st.builds(lambda zero, f, more: perturbed(zero, f) + more,
 @example([1.0, 1.0, 1.0, 1.0 / _T, 0.01])  # (0,1,2,3) in the margin, the full set fails
 def test_route_equals_enumeration_float(weights):
     assert_route_matches_enumeration(validate_measure(weights))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(float_weights, near_boundary), st.integers(-1000, 1000))
+@example([1.0, 1.0, 1.0, (1 - 1e-3) / _T], 536)  # every z^2 is subnormal
+@example([1.0, 1.0, 1.0, 3.0], 664)  # [1e200, 1e200, 1e200, 3e200]: every z^2 underflows
+@example([1.0, 1.0, 1.0, 3.0], -990)  # every z^2 overflows
+def test_definite_float_verdicts_are_exact_at_every_scale(weights, shift):
+    # doubles are exact dyadic rationals: a definite float verdict must be
+    # the exact verdict of the same values, however far they are scaled
+    xs = [math.ldexp(w, shift) for w in weights]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DegenerateWeightWarning)
+        verdict = classify(validate_measure(xs)).verdict
+    if verdict != "indeterminate":
+        assert verdict == classify(validate_measure([Fraction(x) for x in xs])).verdict
 
 
 @settings(max_examples=60, deadline=None)
