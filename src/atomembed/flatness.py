@@ -245,8 +245,8 @@ def criterion_table(m: Measure) -> Dict[AtomSubset, Scalar]:
     values equal those of :class:`FlatnessReport`, and no sign is kept.  In
     exact mode one depth-first pass per size carries the running integer
     sums of Z and Z² over one common denominator, so a row costs O(1) plus
-    its Fraction(value, den²); float rows keep one pair of :func:`float_sums`
-    each, so they equal the values the verdict is read from.
+    its Fraction(value, den²); float rows take :func:`float_sums`, as the
+    kernel does.
     """
     values = _Values(m.reciprocals())
     terms, den2 = values.terms, values.den2

@@ -80,7 +80,7 @@ def coerce(values, mode: str):
 
 
 def over_common_denominator(values) -> Tuple[Tuple[int, ...], int]:
-    """(numerators, den): ints or Fractions as integers over their least common denominator.
+    """(numerators, den): ints or Fractions over their least common denominator.
 
     values[i] == numerators[i] / den, exactly.
     """
