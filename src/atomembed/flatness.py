@@ -48,7 +48,7 @@ from functools import cached_property
 from itertools import combinations
 from typing import Callable, Dict, Iterator, NamedTuple, Optional, Sequence, Tuple
 
-from .gram import criterion_sign, criterion_value, float_sums, scaled_back
+from .gram import criterion_sign, criterion_value
 from .measure import AtomSubset, Measure
 from .scalars import Scalar, over_common_denominator
 
@@ -245,17 +245,15 @@ def criterion_table(m: Measure) -> Dict[AtomSubset, Scalar]:
     values equal those of :class:`FlatnessReport`, and no sign is kept.  In
     exact mode one depth-first pass per size carries the running integer
     sums of Z and Z² over one common denominator, so a row costs O(1) plus
-    its Fraction(value, den²); float rows take :func:`float_sums`, as the
-    kernel does.
+    its Fraction(value, den²); a float row is the value of the kernel,
+    :func:`criterion_sign`, that the verdict is read from.
     """
     values = _Values(m.reciprocals())
     terms, den2 = values.terms, values.den2
-    table: Dict[AtomSubset, Scalar] = {}
     if den2 is None:
-        for sub in checked_subsets(m.size):
-            s1, s2, e = float_sums([terms[i] for i in sub])
-            table[sub] = scaled_back(criterion_value(s1, s2, len(sub)), e)
-        return table
+        return {sub: criterion_sign([terms[i] for i in sub])[0]
+                for sub in checked_subsets(m.size)}
+    table: Dict[AtomSubset, Scalar] = {}
     squares = tuple(z * z for z in terms)
     for size in range(4, m.size + 1):
         _exact_rows(table, terms, squares, den2, size, (), 0, 0, 0)

@@ -27,8 +27,8 @@ The sign, which is all that classification needs, is that of the cone
 criterion (sum z)^2 - (n-1) sum z^2 at the reciprocals z = 1/x, taken once
 per measure.  :func:`criterion_sign`, shared by the flatness route and
 ``det``, forms one pair of power sums per subset (exact over integers or
-Fractions, math.fsum over floats scaled by a power of two where their
-squares leave double range) and returns the value with its sign; the
+Fractions, math.fsum over floats scaled by a power of two, so that no
+square leaves double range) and returns the value with its sign; the
 other criterion functions are validating wrappers over the same sums, and
 :func:`criterion_value` is the one place the formula is written.
 Exact values may be integers over one common denominator: the flatness
@@ -38,6 +38,7 @@ route passes Z = z * den, whose criterion is den^2 times that of z.
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence, Tuple
 
@@ -250,51 +251,60 @@ def det_lemma_route(xs: Sequence[Scalar]) -> Scalar:
 
         2^(n-1) P^2 ((2 - n) + 2 sum r + (sum r)^2 - (n-1) sum r^2).
 
-    The value is exact, and rounded once to a double for float weights.
+    Over one common denominator, x = X / D, P r_i = X_0 (T // X_i) / D^n with
+    T = X_1 ... X_n: an integer over D^(2n), rounded once for float weights.
     """
     xs = _checked(xs, "rank-one route", "weights")
     n = len(xs) - 1
-    x0, *tail = map(Fraction, xs)
-    rs = [x0 / x for x in tail]
-    r1, r2 = sum(rs), sum(r * r for r in rs)
-    value = (2 ** (n - 1)) * math.prod(x * x for x in tail) * (
-        (2 - n) + 2 * r1 + r1 * r1 - (n - 1) * r2)
-    return value if infer_mode(xs) == EXACT else _rounded(value)
+    (x0, *tail), den = over_common_denominator(tuple(map(Fraction, xs)))
+    t, s1, s2 = _partial_sums(tail)
+    bracket = (2 - n) * t * t + 2 * t * x0 * s1 + x0 * x0 * (s1 * s1 - (n - 1) * s2)
+    return _determinant(bracket, den, xs)
 
 
-def _rounded(value: Fraction) -> float:
-    """The double nearest ``value``, or +-inf beyond double range."""
+def _partial_sums(ints: Sequence[int]) -> Tuple[int, int, int]:
+    """(P, E, Q): the product of the integers X and the sums of P // X and (P // X)^2.
+
+    By halves, P = P_l P_r, E = E_l P_r + E_r P_l, Q = Q_l P_r^2 + Q_r P_l^2:
+    few big products, of balanced sizes."""
+    if len(ints) == 1:
+        return ints[0], 1, 1
+    half = len(ints) // 2
+    pl, el, ql = _partial_sums(ints[:half])
+    pr, er, qr = _partial_sums(ints[half:])
+    return pl * pr, el * pr + er * pl, ql * (pr * pr) + qr * (pl * pl)
+
+
+def _determinant(num: int, den: int, xs: Sequence[Scalar]) -> Scalar:
+    """2^(n-1) num / den^(2n) over n+1 weights xs: a Fraction for exact weights,
+    else the nearest double (int true division rounds once), +-inf beyond range."""
+    n = len(xs) - 1
+    num, den = (2 ** (n - 1)) * num, den ** (2 * n)
+    if infer_mode(xs) == EXACT:
+        return Fraction(num, den)
     try:
-        return float(value)
+        return num / den
     except OverflowError:
-        return math.inf if value > 0 else -math.inf
+        return math.inf if num > 0 else -math.inf
 
 
 def det_closed_form(xs: Sequence[Scalar]) -> Scalar:
     """Closed-form determinant 2^(n-1) (E^2 - (n-1) Q) of the atom Gram matrix.
 
     E is the sum over a of the product of all weights but x_a, Q the same sum
-    of squared products.  Over one common denominator, x_a = X_a / D, each
-    product is (P // X_a) / D^n with P = prod X, so the value is an integer
-    over D^(2n): exact, and rounded once to a double for float weights.
+    of squared products.  Over one common denominator, x_a = X_a / D, each is
+    (P // X_a) / D^n with P = prod X: an integer over D^(2n), rounded once for
+    float weights.
     """
     xs = _checked(xs, "closed form", "weights")
-    n = len(xs) - 1
     ints, den = over_common_denominator(tuple(map(Fraction, xs)))
-    prod = math.prod(ints)
-    partials = [prod // x for x in ints]
-    e, q = sum(partials), sum(p * p for p in partials)
-    value = Fraction((2 ** (n - 1)) * (e * e - (n - 1) * q), den ** (2 * n))
-    return value if infer_mode(xs) == EXACT else _rounded(value)
+    _, e, q = _partial_sums(ints)
+    return _determinant(e * e - (len(xs) - 2) * q, den, xs)
 
 
 def criterion_value(s1: Scalar, s2: Scalar, count: int) -> Scalar:
-    """The cone criterion s1^2 - (count-2) s2 of ``count`` reciprocals.
-
-    s1 and s2 are their sum and sum of squares: exact sums keep the type of
-    their terms (integers or Fractions), float sums come from
-    :func:`float_sums`.
-    """
+    """The cone criterion s1^2 - (count-2) s2 of ``count`` reciprocals, from
+    their sum s1 and sum of squares s2 (exact, or from :func:`float_sums`)."""
     return s1 * s1 - (count - 2) * s2
 
 
@@ -319,19 +329,12 @@ def criterion_sign(zs: Sequence[Scalar]) -> Tuple[Scalar, str]:
 def float_sums(zs: Sequence[float]) -> Tuple[float, float, int]:
     """(s1, s2, e): the correctly rounded sum and sum of squares of z * 2^-e.
 
-    e is 0 when sum z^2 lies in [2^-900, 2^900]: no square overflows there,
-    and one that underflows is far below the boundary margin of the sum.
-    Otherwise e is the binary exponent of the largest finite z, so that the
-    largest scaled z lies in [1/2, 1).  The criterion of z is 4^e times that
-    of the scaled values (:func:`scaled_back`).
+    e is the binary exponent of the largest z, capped at the largest double
+    (an infinite z has a NaN criterion anyway), so no scaled square overflows
+    and one that underflows is far below the boundary margin.  The criterion
+    of z is 4^e times that of the scaled values (:func:`scaled_back`).
     """
-    try:
-        s1, s2 = math.fsum(zs), math.fsum(z * z for z in zs)
-    except OverflowError:  # finite terms whose sum is beyond double range
-        s2 = math.inf
-    if 2.0 ** -900 <= s2 <= 2.0 ** 900:
-        return s1, s2, 0
-    e = math.frexp(max((z for z in zs if z < math.inf), default=1.0))[1]
+    e = math.frexp(min(max(zs), sys.float_info.max))[1]
     zs = [math.ldexp(z, -e) for z in zs]
     return math.fsum(zs), math.fsum(z * z for z in zs), e
 

@@ -80,10 +80,7 @@ def coerce(values, mode: str):
 
 
 def over_common_denominator(values) -> Tuple[Tuple[int, ...], int]:
-    """(numerators, den): ints or Fractions over their least common denominator.
-
-    values[i] == numerators[i] / den, exactly.
-    """
+    """(numerators, den): ints or Fractions as numerators[i] / den, den their lcd."""
     den = math.lcm(*(v.denominator for v in values))
     return tuple(v.numerator * (den // v.denominator) for v in values), den
 
