@@ -457,6 +457,15 @@ class TestDetRoutes:
         for xs in ([1.0, 1.0, tiny, 1.0], [tiny, 1.0, 1.0, 1.0]):
             assert det_lemma_route(xs) == det_closed_form(xs) == -4.0
 
+    def test_routes_agree_on_hundreds_of_atoms(self, rng):
+        # the products of all weights but one are summed by halves, nine
+        # levels deep here; the pivot product is an independent exact route
+        xs = rational_tuple(rng, 301)
+        assert det_closed_form(xs) == det_lemma_route(xs) == det_pivots(xs)
+        floats = [rng.uniform(0.5, 2.0) for _ in range(301)]
+        nearest = float(det_pivots([Fraction(x) for x in floats]))
+        assert det_closed_form(floats) == det_lemma_route(floats) == nearest
+
 
 class TestReducedCriterion:
     def test_binomial_example_value(self):
