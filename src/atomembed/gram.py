@@ -8,10 +8,11 @@ provided and cross-checked, each in O(n) steps for exact weights:
   * the closed form 2^(n-1) * (E^2 - (n-1) Q), where E and Q are the sums of
     the products of all weights but one and of their squares, on integers;
   * elimination: for exact weights, :func:`det_pivots` multiplies the pivots
-    of the LDL^T that ``embed`` also runs (:func:`_ldl_pivots`, on a 2x2
-    state); float weights and exact zero pivots take :func:`det_numeric` of
-    the :func:`gram_matrix`, fraction-free (Bareiss) on integers when no
-    entry is a float, IEEE with full pivoting otherwise;
+    of the LDL^T that ``embed`` also runs (:func:`_exact_ldl`, on a 2x2
+    state of Python integers over one shared denominator); float weights
+    and exact zero pivots take :func:`det_numeric` of the
+    :func:`gram_matrix`, fraction-free (Bareiss) on integers when no entry
+    is a float, IEEE with full pivoting otherwise;
   * a rank-one-update route M = A + v v^t, combined through
     det(A + u v^t) = det(A) + v^t Adj(A) u; the closed-form adjugate of A is
     a diagonal plus a rank-one matrix, so the quadratic form needs only two
@@ -20,8 +21,10 @@ provided and cross-checked, each in O(n) steps for exact weights:
 The closed form and the rank-one route are exact, on float weights too (a
 double is a dyadic rational): they round once, to the same double.
 
-The cofactor adjugate, the general determinant lemma and the Gram matrix
-built from the weights alone are test oracles, in ``tests/oracle.py``.
+The cofactor adjugate, the general determinant lemma, the Gram matrix
+built from the weights alone and the pivot recurrence in Fractions are test
+oracles, in ``tests/oracle.py``.  Float weights run the recurrence in
+floats (:func:`_ldl_pivots`), for ``embed`` only.
 
 The sign, which is all that classification needs, is that of the cone
 criterion (sum z)^2 - (n-1) sum z^2 at the reciprocals z = 1/x, taken once
@@ -194,16 +197,16 @@ def _det_full_pivot(rows) -> Scalar:
     return sign * det
 
 
-def _ldl_pivots(xs: Sequence[Scalar], base: int, signed: bool):
-    """LDL^T of the atom Gram matrix over ``base``, in the weights' own arithmetic.
+def _ldl_pivots(xs: Sequence[float], base: int):
+    """LDL^T of the atom Gram matrix over ``base``, on float weights.
 
     Over base b the matrix of the other atoms is U S U^T + 2 diag(x^2) with
     rows u_i = (x_b + x_i, x_i) and S = [[1, 0], [0, -2]], so each step
     updates a 2x2 state.  Yields (j, pivot, v0, v1) for every atom j != b in
     index order: the pivot is the squared height of atom j above the earlier
-    kept atoms, and the column of L below it is L_ij = u_i . (v0, v1).  A zero
-    pivot, or a negative one unless ``signed``, is dropped: it yields
-    v0 = v1 = None and leaves the state as it was.  A NaN pivot is kept.
+    kept atoms, and the column of L below it is L_ij = u_i . (v0, v1).  A
+    non-positive pivot is dropped: it yields v0 = v1 = None and leaves the
+    state as it was.  A NaN pivot is kept.
     """
     xb = xs[base]
     s00, s01, s11 = 1, 0, -2
@@ -213,7 +216,7 @@ def _ldl_pivots(xs: Sequence[Scalar], base: int, signed: bool):
         a = xb + b
         w0, w1 = s00 * a + s01 * b, s01 * a + s11 * b
         pivot = 2 * b * b + a * w0 + b * w1
-        if pivot == 0 or (pivot < 0 and not signed):
+        if pivot <= 0:
             yield j, pivot, None, None
             continue
         v0, v1 = w0 / pivot, w1 / pivot
@@ -221,24 +224,57 @@ def _ldl_pivots(xs: Sequence[Scalar], base: int, signed: bool):
         yield j, pivot, v0, v1
 
 
+def _exact_ldl(ints: Sequence[int], base: int):
+    """The same LDL^T on integer weights X = x D, on Python integers.
+
+    The 2x2 state is (t00, t01, t11) / q over one shared denominator q,
+    reduced by the gcd of the four after every step; q has the sign of the
+    last kept pivot.  Returns (steps, state): steps lists (j, P, q, w0, w1)
+    for every atom j != base in index order, with W = T u for
+    u = (X_b + X_j, X_j), so the pivot is P / (q D^2) and L_ij = (u_i . W) / P;
+    state is the final (t00, t01, t11, q).  A zero pivot leaves the state as
+    it was; a negative one is kept.
+    """
+    xb = ints[base]
+    t00, t01, t11, q = 1, 0, -2, 1
+    steps = []
+    for j, b in enumerate(ints):
+        if j == base:
+            continue
+        a = xb + b
+        w0, w1 = t00 * a + t01 * b, t01 * a + t11 * b
+        p = 2 * b * b * q + a * w0 + b * w1
+        steps.append((j, p, q, w0, w1))
+        if p == 0:
+            continue
+        t00, t01, t11, q = p * t00 - w0 * w0, p * t01 - w0 * w1, p * t11 - w1 * w1, q * p
+        g = math.gcd(t00, t01, t11, q)
+        t00, t01, t11, q = t00 // g, t01 // g, t11 // g, q // g
+    return steps, (t00, t01, t11, q)
+
+
 def det_pivots(xs: Sequence[Scalar]) -> Optional[Fraction]:
     """Exact determinant of the atom Gram matrix: the product of its LDL^T pivots.
 
     The base is xs[0]; a Gram determinant is the same over every base and
-    under any symmetric reordering.  Returns None for float weights, where
-    unpivoted LDL^T is not stable, and at a zero pivot, after which plain
-    LDL^T no longer factors the matrix; :func:`det_numeric` of the
-    :func:`gram_matrix` decides both.
+    under any symmetric reordering.  The pivots come from :func:`_exact_ldl`
+    on the weights over their common denominator D, and their product
+    telescopes: pivot j is lambda_j det(S_(j-1)) / det(S_j) with
+    lambda_j = 2 x_j^2, so it is det(S_0) prod(lambda) / det(S_n), where
+    det(S_0) = -2 and det(S_n) = (t00 t11 - t01^2) / q^2.  Returns None
+    for float weights, where unpivoted LDL^T is not stable, and at a zero
+    pivot, after which plain LDL^T no longer factors the matrix;
+    :func:`det_numeric` of the :func:`gram_matrix` decides both.
     """
     if infer_mode(xs) == FLOAT:
         return None
-    xs = tuple(map(Fraction, xs))
-    det = Fraction(1)
-    for _, pivot, v0, _ in _ldl_pivots(xs, 0, signed=True):
-        if v0 is None:
-            return None
-        det *= pivot
-    return det
+    ints, den = over_common_denominator(xs)
+    steps, (t00, t01, t11, q) = _exact_ldl(ints, 0)
+    if any(p == 0 for _, p, *_ in steps):
+        return None
+    n = len(steps)
+    return Fraction(-(2 ** (n + 1)) * math.prod(ints[1:]) ** 2 * q * q,
+                    den ** (2 * n) * (t00 * t11 - t01 * t01))
 
 
 def det_lemma_route(xs: Sequence[Scalar]) -> Scalar:

@@ -8,6 +8,9 @@ algebra, brute-force matrix algebra, and the reciprocal-space cone.
 * ``atom_gram_matrix`` builds the triple-product matrix straight from the
   weights, ``adjugate`` by cofactors and ``matrix_det_lemma`` through
   det(A + u v^t) = det(A) + v^t Adj(A) u.
+* ``ldl_pivots`` runs the LDL^T recurrence of the atom Gram matrix in the
+  weights' own arithmetic, and ``placed_atoms`` rounds its Fraction
+  coordinates: the references for the package's integer recurrence.
 * Under z = 1/x the flat region is a solid cone about the all-ones axis;
   ``cone_membership`` decides it by comparing angles, independently of the
   criterion's power sums.
@@ -182,6 +185,52 @@ def matrix_det_lemma(matrix, u: Sequence[Scalar], v: Sequence[Scalar]) -> Scalar
     adj = adjugate(rows)
     correction = sum(v[i] * adj[i][j] * u[j] for i in range(n) for j in range(n))
     return det_numeric(rows) + correction
+
+
+def ldl_pivots(xs: Sequence[Scalar], base: int, signed: bool):
+    """LDL^T of the atom Gram matrix over ``base``, in the weights' own arithmetic.
+
+    Over base b the matrix of the other atoms is U S U^T + 2 diag(x^2) with
+    rows u_i = (x_b + x_i, x_i) and S = [[1, 0], [0, -2]], so each step
+    updates a 2x2 state.  Yields (j, pivot, v0, v1) for every atom j != b in
+    index order: the pivot is the squared height of atom j above the earlier
+    kept atoms, and the column of L below it is L_ij = u_i . (v0, v1).  A zero
+    pivot, or a negative one unless ``signed``, is dropped: it yields
+    v0 = v1 = None and leaves the state as it was.  Over Fractions this is
+    the reference for the package's integer recurrence.
+    """
+    xb = xs[base]
+    s00, s01, s11 = 1, 0, -2
+    for j, b in enumerate(xs):
+        if j == base:
+            continue
+        a = xb + b
+        w0, w1 = s00 * a + s01 * b, s01 * a + s11 * b
+        pivot = 2 * b * b + a * w0 + b * w1
+        if pivot == 0 or (pivot < 0 and not signed):
+            yield j, pivot, None, None
+            continue
+        v0, v1 = w0 / pivot, w1 / pivot
+        s00, s01, s11 = s00 - w0 * v0, s01 - w0 * v1, s11 - w1 * v1
+        yield j, pivot, v0, v1
+
+
+def placed_atoms(xs: Sequence[Fraction]) -> np.ndarray:
+    """Coordinates of exact weights from :func:`ldl_pivots` over the lightest
+    atom: each height sqrt(pivot) and each L_ij rounded once from its Fraction."""
+    base = xs.index(min(xs))
+    order = [j for j in range(len(xs)) if j != base]
+    coords = np.zeros((len(xs), len(order)))
+    col = 0
+    for pos, (j, pivot, v0, v1) in enumerate(ldl_pivots(xs, base, signed=False)):
+        if v0 is None:
+            continue
+        height = math.sqrt(pivot)
+        coords[j, col] = height
+        for i in order[pos + 1:]:
+            coords[i, col] = float((xs[base] + xs[i]) * v0 + xs[i] * v1) * height
+        col += 1
+    return coords[:, :col]
 
 
 # -- the reciprocal-space cone -------------------------------------------------

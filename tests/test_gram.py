@@ -16,15 +16,19 @@ from atomembed import (
     det_lemma_route,
     det_numeric,
     det_pivots,
+    embed,
     gram_matrix,
+    is_flat,
     reduced_criterion,
     sign_verdict,
     triple_product,
     validate_measure,
 )
+from atomembed.gram import _exact_ldl
+from atomembed.scalars import over_common_denominator
 from conftest import float_tuple, rational_tuple, zero_criterion_weights
 from det_oracle import appendix_decomposition, lemma_sum
-from oracle import adjugate, atom_gram_matrix, matrix_det_lemma
+from oracle import adjugate, atom_gram_matrix, ldl_pivots, matrix_det_lemma, placed_atoms
 
 
 def third_measure():
@@ -387,6 +391,49 @@ def exact_simplices(draw):
     elif shape == "huge":
         xs[draw(st.integers(0, len(xs) - 1))] = Fraction(10) ** draw(st.sampled_from([400, -400]))
     return shape, xs
+
+
+@st.composite
+def exact_measures(draw):
+    """3-16 exact atoms: small-integer ties, a binomial row, a permuted zero
+    point (a zero pivot) with more atoms after it, near-uniform (flat) or
+    unrelated k/l weights (mostly failing: negative pivots)."""
+    shape = draw(st.sampled_from(["ties", "binomial", "zero_pivot", "near_uniform", "random"]))
+    if shape == "ties":
+        return draw(st.lists(st.integers(1, 4), min_size=3, max_size=16))
+    if shape == "binomial":
+        return [math.comb(n, i) for n in [draw(st.integers(2, 15))] for i in range(n + 1)]
+    if shape == "zero_pivot":
+        lead = draw(st.permutations(draw(zero_points)))
+        return list(lead) + draw(st.lists(rationals, max_size=12))
+    if shape == "near_uniform":
+        return draw(st.lists(st.builds(Fraction, st.integers(95, 105), st.integers(95, 105)),
+                             min_size=3, max_size=16))
+    return draw(st.lists(rationals, min_size=3, max_size=16))
+
+
+@settings(max_examples=200, deadline=None)
+@given(exact_measures())
+def test_integer_recurrence_equals_the_fraction_oracle(weights):
+    m = validate_measure(weights)
+    xs = m.weights
+    ints, den = over_common_denominator(xs)
+    for base in {0, xs.index(min(xs))}:
+        steps, _ = _exact_ldl(ints, base)
+        oracle = list(ldl_pivots(xs, base, signed=True))
+        assert [step[0] for step in steps] == [j for j, *_ in oracle]
+        for pos, ((_, p, q, w0, w1), (_, pivot, v0, v1)) in enumerate(zip(steps, oracle)):
+            assert Fraction(p, q * den * den) == pivot
+            assert (p == 0) == (v0 is None)
+            if p:  # the column of L below the pivot
+                for i, *_ in oracle[pos + 1:]:
+                    u0, u1 = ints[base] + ints[i], ints[i]
+                    assert Fraction(u0 * w0 + u1 * w1, p) == (xs[base] + xs[i]) * v0 + xs[i] * v1
+    zero_pivot = any(pivot == 0 for _, pivot, _, _ in ldl_pivots(xs, 0, signed=True))
+    det = det_pivots(xs)
+    assert det is None if zero_pivot else det == det_closed_form(xs)
+    if is_flat(m).flat:
+        assert embed(m).coordinates.tobytes() == placed_atoms(xs).tobytes()
 
 
 class TestDetRoutes:
