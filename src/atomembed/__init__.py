@@ -64,7 +64,6 @@ from .gram import (
     triple_product,
 )
 from .measure import (
-    DegenerateWeightWarning,
     DistanceMatrix,
     Measure,
     MeasureError,

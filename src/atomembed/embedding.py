@@ -11,7 +11,8 @@ the earlier ones; each height and each entry of L is rounded to a double once
 (for exact weights, one integer true division each), and since
 |p_i| = x_b + x_i <= d(i, j), the coordinates are within a few ulps per pair.
 For exact weights the residual is checked against the distances
-(X_i + X_j) / D of the same integers, each rounded once.
+(X_i + X_j) / D of the same integers, each rounded once.  Float weights
+whose float pivots miscount the dimension are placed again exactly.
 
 Float weights are scaled by a power of two into the middle of the double
 range, and the coordinates back: the recurrence is homogeneous, so no
@@ -21,6 +22,7 @@ rounding changes, and the squares of [1, 1, 1, 1e200] stay finite.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from typing import NamedTuple
 
 from .flatness import is_flat
@@ -56,19 +58,27 @@ class EmbeddingResult(NamedTuple):
 
 
 def verify_isometry(coords: np.ndarray, d: DistanceMatrix) -> float:
-    """Largest |embedded - target distance| / target distance over distinct points."""
+    """Largest |embedded - target distance| / target distance over distinct points.
+
+    Row blocks of about 2^20 differences keep memory small; every entry gets
+    the operations it gets over the whole table, so the result is the same.
+    """
     import numpy as np
 
     pts = np.asarray(coords, dtype=float)
-    if pts.shape[0] != d.size:
-        raise ValueError(
-            f"coordinate table has {pts.shape[0]} rows for {d.size} points")
-    diff = pts[:, None, :] - pts[None, :, :]
-    dist = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+    n = pts.shape[0]
+    if n != d.size:
+        raise ValueError(f"coordinate table has {n} rows for {d.size} points")
     target = d.as_array()
-    gap = np.abs(dist - target)
-    np.fill_diagonal(target, 1.0)  # the gap is 0 there
-    return float(np.max(gap / target))
+    divisor = target + np.eye(n)  # the gap is 0 on the diagonal
+    rows = max(1, (1 << 20) // max(1, n * pts.shape[1]))
+    worst = 0.0
+    for lo in range(0, n, rows):
+        diff = pts[lo:lo + rows, None, :] - pts[None, :, :]
+        dist = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+        gap = np.abs(dist - target[lo:lo + rows])
+        worst = max(worst, float(np.max(gap / divisor[lo:lo + rows])))
+    return worst
 
 
 def _place_atoms(weights):
@@ -140,10 +150,10 @@ def _exact_distances(ints, den) -> DistanceMatrix:
 def embed(m: Measure, isometry_tol: float = ISOMETRY_TOL) -> EmbeddingResult:
     """Construct coordinates for a flat measure, lightest atom at the origin.
 
-    Raises NotFlatError when the measure is not flat (or undecided in float
-    mode), ValueError for a tolerance that is not finite and positive or for
-    coordinates beyond double range, and EmbeddingConsistencyError when the
-    positive pivots or the relative residual contradict the flatness report.
+    Raises NotFlatError when the measure is not flat, ValueError for a
+    tolerance that is not finite and positive or for coordinates beyond
+    double range, and EmbeddingConsistencyError when the positive pivots or
+    the relative residual contradict the flatness report.
     """
     if not (math.isfinite(isometry_tol) and isometry_tol > 0):
         raise ValueError(f"isometry tolerance must be finite and positive, "
@@ -153,10 +163,6 @@ def embed(m: Measure, isometry_tol: float = ISOMETRY_TOL) -> EmbeddingResult:
         raise NotFlatError(
             f"measure is not flat; witness subset {report.witness} has "
             f"criterion value {report.subset_values[report.witness]}")
-    if report.boundary:
-        raise NotFlatError(
-            f"flatness is indeterminate in float mode near subset "
-            f"{report.boundary[0]}; supply rational weights")
 
     import numpy as np
 
@@ -167,6 +173,8 @@ def embed(m: Measure, isometry_tol: float = ISOMETRY_TOL) -> EmbeddingResult:
             scale = (math.frexp(min(weights))[1] + math.frexp(max(weights))[1]) // 2
             weights = tuple(math.ldexp(w, -scale) for w in weights)
         base, coords, xs, den = _place_atoms(weights)
+        if coords.shape[1] != report.dimension and m.mode == FLOAT:
+            base, coords, xs, den = _place_atoms(tuple(map(Fraction, weights)))
         # scaled back, the coordinates stay within an ulp or so of each
         # distance while the lightest weight is a normal double
         in_range = (np.isfinite(coords).all() and float(min(weights)) ** 2 >= tiny
@@ -179,7 +187,7 @@ def embed(m: Measure, isometry_tol: float = ISOMETRY_TOL) -> EmbeddingResult:
     if coords.shape[1] != report.dimension:
         raise EmbeddingConsistencyError(f"{coords.shape[1]} positive pivots for a flat "
                                         f"measure of dimension {report.dimension}")
-    target = (atom_metric(m._replace(weights=weights)) if m.mode == FLOAT
+    target = (atom_metric(m._replace(weights=weights)) if isinstance(xs[0], float)
               else _exact_distances(xs, den))
     residual = verify_isometry(coords, target)
     if not residual <= isometry_tol:

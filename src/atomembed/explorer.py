@@ -38,27 +38,16 @@ class SweepRow(NamedTuple):
     verdict: str
     worst_value: Optional[Scalar]
     witness: Optional[Tuple[int, ...]]
-    reason: Optional[str] = None
 
 
 def sweep(grid: Sequence[Tuple[Scalar, Measure]]) -> List[SweepRow]:
-    """Classify every grid point; rows come back in grid order.
-
-    Per-point failures do not abort the sweep: the row records an
-    indeterminate verdict with the reason.
-    """
+    """Classify every grid point; rows come back in grid order."""
     rows: List[SweepRow] = []
     for value, measure in grid:
-        try:
-            report = is_flat(measure)
-            worst_sub, worst_val = report.worst
-            rows.append(SweepRow(parameter=value, verdict=report.letter,
-                                 worst_value=worst_val, witness=worst_sub,
-                                 reason=report.reason))
-        except ValueError as exc:
-            rows.append(SweepRow(parameter=value, verdict="I",
-                                 worst_value=None, witness=None,
-                                 reason=str(exc)))
+        report = is_flat(measure)
+        worst_sub, worst_val = report.worst
+        rows.append(SweepRow(parameter=value, verdict=report.letter,
+                             worst_value=worst_val, witness=worst_sub))
     return rows
 
 
@@ -92,15 +81,6 @@ def mixture(m0: Measure, m1: Measure, t: Scalar) -> Measure:
     return validate_measure(weights)
 
 
-def _definite_letter(measure: Measure) -> str:
-    report = is_flat(measure)
-    if report.reason is not None:
-        raise ValueError(
-            f"indeterminate verdict during bisection ({report.reason}); "
-            "use rational inputs for exact bracketing")
-    return report.letter
-
-
 def bisect_boundary(measure_at: Callable[[Scalar], Measure], lo, hi,
                     tol: float = 1e-6, max_iter: int = 200,
                     scan_steps: int = 0) -> BisectionResult:
@@ -124,8 +104,7 @@ def bisect_boundary(measure_at: Callable[[Scalar], Measure], lo, hi,
     hi = Fraction(hi) if not isinstance(hi, float) else hi
     if not lo < hi:
         raise ValueError(f"bisection interval is empty: [{lo}, {hi}]")
-    v_lo = _definite_letter(measure_at(lo))
-    v_hi = _definite_letter(measure_at(hi))
+    v_lo, v_hi = is_flat(measure_at(lo)).letter, is_flat(measure_at(hi)).letter
     if v_lo == v_hi:
         raise NoCrossingError(
             f"both endpoints classify as {v_lo}; nothing to bracket")
@@ -133,9 +112,7 @@ def bisect_boundary(measure_at: Callable[[Scalar], Measure], lo, hi,
     extra: List[Tuple[Scalar, Scalar]] = []
     if scan_steps > 1:
         pts = [lo + (hi - lo) * i / scan_steps for i in range(scan_steps + 1)]
-        letters = [v_lo] + [
-            _definite_letter(measure_at(p)) for p in pts[1:-1]
-        ] + [v_hi]
+        letters = [v_lo] + [is_flat(measure_at(p)).letter for p in pts[1:-1]] + [v_hi]
         flips = [
             (pts[i], pts[i + 1], letters[i], letters[i + 1])
             for i in range(len(pts) - 1)
@@ -148,7 +125,7 @@ def bisect_boundary(measure_at: Callable[[Scalar], Measure], lo, hi,
     trace = []
     while hi - lo > tol and iterations < max_iter:
         mid = (lo + hi) / 2
-        letter = _definite_letter(measure_at(mid))
+        letter = is_flat(measure_at(mid)).letter
         trace.append((iterations, lo, hi, mid, letter))
         if letter == v_lo:
             lo = mid
@@ -182,15 +159,13 @@ class SampleSummary(NamedTuple):
     (Wald) approximation of the 95% binomial-proportion interval, which
     collapses to 0 when the fraction is 0 or 1; ``ci95_low`` and
     ``ci95_high`` bound the Wilson score interval (Wilson 1927), which does
-    not.  Indeterminate draws are counted separately and still included in
-    the total.
+    not.
     """
 
     k: int
     total: int
     embeddable: int
     not_embeddable: int
-    indeterminate: int
     fraction: float
     ci95_half_width: float
     ci95_low: float
@@ -255,13 +230,10 @@ def sample_simplex(k: int, count: int, seed: int = 0, jobs: int = 1,
             rows = [row for chunk in pool.map(_sample_chunk, chunks) for row in chunk]
 
     emb = sum(1 for r in rows if r.verdict == "E")
-    not_emb = sum(1 for r in rows if r.verdict == "N")
-    ind = sum(1 for r in rows if r.verdict == "I")
     frac = emb / count
     half_width = _Z95 * math.sqrt(frac * (1.0 - frac) / count)
     low, high = _wilson_interval(frac, count)
-    summary = SampleSummary(k=k, total=count, embeddable=emb,
-                            not_embeddable=not_emb, indeterminate=ind,
+    summary = SampleSummary(k=k, total=count, embeddable=emb, not_embeddable=count - emb,
                             fraction=frac, ci95_half_width=half_width,
                             ci95_low=low, ci95_high=high, seed=seed)
     return (summary, rows) if keep_rows else summary

@@ -32,7 +32,9 @@ brute-force enumeration for ``check``'s printed table and for tests.
 In exact mode every subset is signed on integers: the reciprocals are put
 over one common denominator once per measure, and each value is turned back
 into its canonical Fraction by a single division.  Float reciprocals go to
-the kernel as they are.
+the kernel as they are, and a float value inside its margin is signed again
+on the weights as Fractions, so every float verdict is the exact verdict of
+the given doubles.
 
 Under z = 1/x the flat region is a solid cone about the all-ones axis, of
 half-angle cosine sqrt((n-1)/(n+1)); that angle test and the quadratic form
@@ -42,29 +44,26 @@ to, not part of the package.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
 from typing import Callable, Dict, Iterator, NamedTuple, Optional, Sequence, Tuple
 
-from .gram import criterion_sign, criterion_value
+from .gram import criterion_sign, criterion_value, exact_criterion_sign
 from .measure import AtomSubset, Measure
-from .scalars import Scalar, over_common_denominator
+from .scalars import FLOAT, Scalar, over_common_denominator
 
 
 class Classification(NamedTuple):
     """Embeddability verdict.
 
-    verdict is "embeddable" (with the dimension), "not_embeddable" (with the
-    witness subset) or "indeterminate" (float-mode value inside the boundary
-    margin, with the reason).
+    verdict is "embeddable" (with the dimension) or "not_embeddable" (with
+    the witness subset).
     """
 
     verdict: str
     dimension: Optional[int] = None
     witness: Optional[AtomSubset] = None
-    reason: Optional[str] = None
 
 
 class _Values(dict):
@@ -75,12 +74,14 @@ class _Values(dict):
     is then signed on integers: the criterion is homogeneous of degree 2, so
     its integer value is den² times the exact one, with the same sign, and
     the value kept is Fraction(value, den²).  Float reciprocals are used as
-    they are.
+    they are; a float value the kernel leaves as "boundary" is decided by
+    :func:`exact_criterion_sign` on the subset's weights.
     """
 
-    def __init__(self, zs: Tuple[Scalar, ...]):
+    def __init__(self, m: Measure):
         super().__init__()
-        if isinstance(zs[0], float):
+        self.weights, zs = m.weights, m.reciprocals()
+        if m.mode == FLOAT:
             self.terms, self.den2 = zs, None
         else:
             self.terms, den = over_common_denominator(zs)
@@ -88,10 +89,12 @@ class _Values(dict):
         self.signs: Dict[AtomSubset, str] = {}
 
     def __missing__(self, sub: AtomSubset) -> Scalar:
-        value, self.signs[sub] = criterion_sign([self.terms[i] for i in sub])
-        if self.den2 is not None:
+        value, sign = criterion_sign([self.terms[i] for i in sub])
+        if sign == "boundary":
+            value, sign = exact_criterion_sign([self.weights[i] for i in sub])
+        elif self.den2 is not None:
             value = Fraction(value, self.den2)
-        self[sub] = value
+        self[sub], self.signs[sub] = value, sign
         return value
 
     def sign(self, sub: AtomSubset) -> str:
@@ -105,34 +108,28 @@ def _extremes(pool: Sequence[int], r: int) -> Iterator[Tuple[int, ...]]:
         yield tuple(pool[:i]) + tuple(pool[len(pool) - r + i:])
 
 
-def _nan_last(value: Scalar) -> Scalar:
-    """Sort key that puts a NaN float value after every number."""
-    return value if value == value else math.inf
-
-
 class FlatnessReport:
     """Outcome of the flatness check, with its searches run on first access.
 
-    ``flat`` and ``boundary`` come from the full atom set alone: ``boundary``
-    is the full set when its float value lies inside the margin, else empty.
-    ``witness`` is the first failing subset in (size, lexicographic) order,
-    or None when the measure is flat.  ``dimension`` is the largest n such
-    that some (n+1)-subset is strictly positive, at least min(k, 2).
+    ``flat`` comes from the full atom set alone; ``boundary`` is always
+    empty.  ``witness`` is the first failing subset in (size, lex) order, or
+    None when the measure is flat.  ``dimension`` is the largest n such that
+    some (n+1)-subset is strictly positive, at least min(k, 2).
     ``worst`` is the subset of least criterion value (first in (size, lex)
     order on ties) with that value.  ``subset_values`` maps each subset
     evaluated so far to its value, and evaluates any other subset looked up
     in it; ``checked_count`` is the number evaluated so far.
     """
 
+    boundary: Tuple[AtomSubset, ...] = ()
+
     def __init__(self, m: Measure):
         self.mode = m.mode
-        self.subset_values = _Values(m.reciprocals())
+        self.subset_values = _Values(m)
         self._size = m.size
         self._full = tuple(range(m.size))
         # pairs and triples are flat: nothing to sign below four atoms
-        sign = self.subset_values.sign(self._full) if m.size >= 4 else None
-        self.flat = sign != "negative"
-        self.boundary = (self._full,) if sign == "boundary" else ()
+        self.flat = m.size < 4 or self.subset_values.sign(self._full) != "negative"
 
     @property
     def checked_count(self) -> int:
@@ -140,25 +137,13 @@ class FlatnessReport:
 
     @property
     def letter(self) -> str:
-        """E, N or I: a failing subset wins over boundary subsets."""
-        return "N" if not self.flat else "I" if self.boundary else "E"
-
-    @property
-    def reason(self) -> Optional[str]:
-        """Why the verdict is indeterminate, or None when it is not."""
-        if self.letter != "I":
-            return None
-        return (f"criterion value for subset {self.boundary[0]} lies inside "
-                f"the float boundary margin; supply rational weights for "
-                f"an exact verdict")
+        """E or N."""
+        return "E" if self.flat else "N"
 
     @property
     def classification(self) -> Classification:
-        letter = self.letter
-        if letter == "N":
+        if not self.flat:
             return Classification(verdict="not_embeddable", witness=self.witness)
-        if letter == "I":
-            return Classification(verdict="indeterminate", reason=self.reason)
         return Classification(verdict="embeddable", dimension=self.dimension)
 
     @cached_property
@@ -202,10 +187,10 @@ class FlatnessReport:
             # most v(S)·(|S|-1)/(|S|-2)), so a failing measure's worst subset
             # is its full set
             return self._full, values[self._full]
-        least = min(_nan_last(values[tuple(sorted(sub))])
+        least = min(values[tuple(sorted(sub))]
                     for s in range(4, self._size + 1)
                     for sub in _extremes(self._order, s))
-        sub = self._first(lambda s: _nan_last(values[s]) <= least)
+        sub = self._first(lambda s: values[s] <= least)
         return sub, values[sub]
 
     def _first(self, hit: Callable[[AtomSubset], bool]) -> AtomSubset:
@@ -245,14 +230,13 @@ def criterion_table(m: Measure) -> Dict[AtomSubset, Scalar]:
     values equal those of :class:`FlatnessReport`, and no sign is kept.  In
     exact mode one depth-first pass per size carries the running integer
     sums of Z and Z² over one common denominator, so a row costs O(1) plus
-    its Fraction(value, den²); a float row is the value of the kernel,
-    :func:`criterion_sign`, that the verdict is read from.
+    its Fraction(value, den²); a float row is the value the verdict is read
+    from.
     """
-    values = _Values(m.reciprocals())
+    values = _Values(m)
     terms, den2 = values.terms, values.den2
     if den2 is None:
-        return {sub: criterion_sign([terms[i] for i in sub])[0]
-                for sub in checked_subsets(m.size)}
+        return {sub: values[sub] for sub in checked_subsets(m.size)}
     table: Dict[AtomSubset, Scalar] = {}
     squares = tuple(z * z for z in terms)
     for size in range(4, m.size + 1):
@@ -281,8 +265,9 @@ def is_flat(m: Measure) -> FlatnessReport:
 
     Pairs and triples are flat unconditionally, so a measure on two or three
     atoms is flat with nothing checked.  The reciprocals are taken once, and
-    each subset's value and sign come from one :func:`criterion_sign` call:
-    exact in exact mode, with the boundary margin in float mode.
+    each subset's value and sign come from one :func:`criterion_sign` call,
+    exact in exact mode; in float mode a value inside the margin is signed
+    again exactly.
     """
     return FlatnessReport(m)
 
@@ -301,9 +286,7 @@ def classify(m: Measure) -> Classification:
     """Embeddability of the atom space of the measure.
 
     Flat measures are embeddable with their dimension; otherwise the first
-    failing subset in (size, lexicographic) order is the witness.  A float-mode measure whose full-set
-    value sits inside the boundary margin is indeterminate, since no exact
-    recomputation is possible for float data.
+    failing subset in (size, lexicographic) order is the witness.
     """
     return is_flat(m).classification
 

@@ -36,6 +36,9 @@ other criterion functions are validating wrappers over the same sums, and
 :func:`criterion_value` is the one place the formula is written.
 Exact values may be integers over one common denominator: the flatness
 route passes Z = z * den, whose criterion is den^2 times that of z.
+A float value inside the margin, far wider than the float sums' error, is
+signed again on the weights as given (:func:`exact_criterion_sign`; a
+filtered predicate, Shewchuk 1997): every float sign is that of the doubles.
 """
 
 from __future__ import annotations
@@ -313,11 +316,14 @@ def _partial_sums(ints: Sequence[int]) -> Tuple[int, int, int]:
 
 def _determinant(num: int, den: int, xs: Sequence[Scalar]) -> Scalar:
     """2^(n-1) num / den^(2n) over n+1 weights xs: a Fraction for exact weights,
-    else the nearest double (int true division rounds once), +-inf beyond range."""
+    else the nearest double."""
     n = len(xs) - 1
     num, den = (2 ** (n - 1)) * num, den ** (2 * n)
-    if infer_mode(xs) == EXACT:
-        return Fraction(num, den)
+    return Fraction(num, den) if infer_mode(xs) == EXACT else _nearest(num, den)
+
+
+def _nearest(num: int, den: int) -> float:
+    """The double nearest num / den (int true division rounds once), +-inf beyond range."""
     try:
         return num / den
     except OverflowError:
@@ -351,8 +357,8 @@ def criterion_sign(zs: Sequence[Scalar]) -> Tuple[Scalar, str]:
     exact (ints or Fractions).  Integers Z = z * den give the integer value
     den^2 times that of z, with the same sign.  Floats are signed on the
     sums of :func:`float_sums`, against the scale (sum z)^2 + (n-1) sum z^2
-    of the same sums, so reciprocals anywhere in double range get the sign
-    of their own criterion.
+    of the same sums; a float sign is "boundary" where those sums cannot
+    settle it, and :func:`exact_criterion_sign` then decides it.
     """
     if not isinstance(zs[0], float):
         value = criterion_value(sum(zs), sum(z * z for z in zs), len(zs))
@@ -360,6 +366,28 @@ def criterion_sign(zs: Sequence[Scalar]) -> Tuple[Scalar, str]:
     s1, s2, e = float_sums(zs)
     value = criterion_value(s1, s2, len(zs))
     return scaled_back(value, e), sign_verdict(value, s1 * s1 + (len(zs) - 2) * s2, FLOAT)
+
+
+def exact_criterion_sign(xs: Sequence[float]) -> Tuple[float, str]:
+    """(value, sign) of the criterion at 1/x of float weights x, exactly.
+
+    A double is a dyadic rational, so over one common denominator x = X / D
+    exactly, and with (P, E, Q) of :func:`_partial_sums` the criterion is
+    D^2 (E^2 - (n-1) Q) / P^2, rounded once here (+-inf beyond range).
+
+    This decides the "boundary" of :func:`criterion_sign`, whose float sign
+    is otherwise exact: z = 1/x is within 2^-51 relatively (2^-53 if normal;
+    2^-51 for the subnormal z of weights near the largest double), the
+    power-of-two scaling loses at most 2^-1075 per term against a largest
+    term >= 1/2, both sums are correctly rounded, and the squares, the
+    product by n-1 and the subtraction round once.  So the float value is
+    within 7 * 2^-52 (1.6e-15) times the scale S = (sum z)^2 + (n-1) sum z^2,
+    and BOUNDARY_MARGIN * S = 1e-9 * S exceeds that 600000-fold.
+    """
+    ints, den = over_common_denominator(tuple(map(Fraction, xs)))
+    p, e, q = _partial_sums(ints)
+    num = e * e - (len(xs) - 2) * q
+    return _nearest(den * den * num, p * p), sign_verdict(num, 0.0, EXACT)
 
 
 def float_sums(zs: Sequence[float]) -> Tuple[float, float, int]:
@@ -419,13 +447,13 @@ def criterion_scale(xs: Sequence[Scalar]) -> float:
 
 
 def sign_verdict(value: Scalar, scale: float, mode: str) -> str:
-    """Sign with an indeterminacy margin in float mode.
+    """Sign, with a filter margin in float mode.
 
     Exact values report "positive" / "negative" / "zero"; float values whose
     magnitude is below BOUNDARY_MARGIN times the expression scale report
-    "boundary" because the true sign is not resolvable at double precision.
-    A non-finite float value (a reciprocal beyond double range) carries no
-    sign and is "boundary" too.
+    "boundary", for :func:`exact_criterion_sign` to decide.  A non-finite
+    float value (a reciprocal beyond double range) carries no sign and is
+    "boundary" too.
     """
     if mode == EXACT:
         if value > 0:

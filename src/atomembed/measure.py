@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import json
 import math
-import warnings
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence, Tuple
 
@@ -27,20 +26,12 @@ from .scalars import (
     scalar_to_json,
 )
 
-#: Float weights below this are kept but flagged: the strict-positivity axiom
-#: still holds semantically, while double rounding makes verdicts unreliable.
-DEGENERACY_THRESHOLD = 1e-12
-
 #: A float weight vector counts as normalized when its total is this close to 1.
 NORMALIZATION_TOLERANCE = 1e-9
 
 
 class MeasureError(ValueError):
     """Invalid weight vector or malformed measure document."""
-
-
-class DegenerateWeightWarning(UserWarning):
-    """A float-mode weight is positive but too small to trust sign verdicts."""
 
 
 AtomSubset = Tuple[int, ...]
@@ -108,13 +99,6 @@ def validate_measure(raw_weights: Sequence, mode: str = "auto",
             raise MeasureError(f"non-finite weight at index {i}: {w}")
         if not (w > 0):
             raise MeasureError(f"non-positive weight at index {i}: {w}")
-        if actual_mode == FLOAT and w < DEGENERACY_THRESHOLD:
-            warnings.warn(
-                f"weight {w!r} at index {i} is below {DEGENERACY_THRESHOLD}; "
-                "float-mode sign verdicts near this scale are unreliable",
-                DegenerateWeightWarning,
-                stacklevel=2,
-            )
     if normalize:
         total = sum(weights) if actual_mode == EXACT else _float_total(weights)
         weights = tuple(w / total for w in weights)

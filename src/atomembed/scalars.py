@@ -4,8 +4,9 @@ Every classification made by this package is ultimately a sign test on a
 polynomial in the atom weights, and near the boundary of the embeddable
 region a rounded sign is a wrong sign.  Weights entered as integers or
 "p/q" strings therefore stay `fractions.Fraction` end to end, and every
-derived quantity is exact; weights entered as floats stay floats, and sign
-verdicts computed from them carry an explicit indeterminacy margin.
+derived quantity is exact; weights entered as floats stay floats, and a
+float sign inside the margin below is decided again in exact arithmetic
+(a double is a dyadic rational), so every verdict is definite.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ Scalar = Union[Fraction, float]
 EXACT = "exact"
 FLOAT = "float"
 
-#: Relative margin under which a float-mode sign is reported as boundary.
+#: Relative margin under which a float-mode sign is decided again exactly.
 BOUNDARY_MARGIN = 1e-9
 
 

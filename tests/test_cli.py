@@ -5,7 +5,6 @@ import json
 import math
 import os
 import tempfile
-import warnings
 from fractions import Fraction
 
 import pytest
@@ -13,7 +12,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from atomembed import (
-    DegenerateWeightWarning,
     atom_metric,
     det_closed_form,
     det_numeric,
@@ -136,12 +134,14 @@ class TestCheckAndClassify:
         assert code == 1
         assert "mode conflict" in err
 
-    def test_indeterminate_exit_code(self, capsys, tmp_path):
+    def test_float_boundary_is_embeddable(self, capsys, tmp_path):
+        # the float criterion reads 0; the exact one of these doubles is +4.7e-15
         t = 3.0 + 2.0 * math.sqrt(3.0)
         path = write_measure(tmp_path, "b.json", [1.0, 1.0, 1.0, 1.0 / t])
         code, out, _ = run(capsys, "classify", path)
-        assert code == 2
-        assert json.loads(out)["verdict"] == "indeterminate"
+        assert code == 0
+        assert json.loads(out) == {"verdict": "embeddable", "dimension": 3,
+                                   "witness": None, "reason": None}
 
     def test_malformed_json(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
@@ -178,21 +178,20 @@ class TestNonFiniteValues:
                        f"non-finite weight at index 3: {shown}\n")
 
     @pytest.mark.parametrize("tiny", [5e-324])
-    def test_overflowing_criterion_is_indeterminate(self, capsys, tmp_path, tiny):
-        # 1/tiny is inf, so the float criterion is inf - inf; the true value
-        # 3 + 6Z - Z^2 (Z = 1/tiny) is negative
+    def test_overflowing_criterion_is_decided(self, capsys, tmp_path, tiny):
+        # 1/tiny is inf, so the float criterion is inf - inf; the exact value
+        # 3 + 6Z - Z^2 (Z = 1/tiny) of the same doubles is negative
         path = write_measure(tmp_path, "t.json", [1.0, 1.0, 1.0, tiny])
-        with pytest.warns(DegenerateWeightWarning):
-            code, out, _ = run(capsys, "classify", path)
-        assert code == 2
-        assert json.loads(out)["verdict"] == "indeterminate"
+        code, out, _ = run(capsys, "classify", path)
+        assert code == 0
+        doc = json.loads(out)
+        assert (doc["verdict"], doc["witness"]) == ("not_embeddable", [0, 1, 2, 3])
 
     def test_criterion_with_overflowing_squares_is_decided(self, capsys, tmp_path):
         # Z^2 = 1e600 overflows; the reciprocals scaled by a power of two give
         # the sign of 3 + 6Z - Z^2
         path = write_measure(tmp_path, "t.json", [1.0, 1.0, 1.0, 1e-300])
-        with pytest.warns(DegenerateWeightWarning):
-            code, out, _ = run(capsys, "classify", path)
+        code, out, _ = run(capsys, "classify", path)
         assert code == 0
         doc = json.loads(out)
         assert (doc["verdict"], doc["witness"]) == ("not_embeddable", [0, 1, 2, 3])
@@ -201,23 +200,22 @@ class TestNonFiniteValues:
     def test_reciprocal_sum_beyond_double_range_is_decided(self, capsys, tmp_path, command):
         # each 1/x is about 1e308, so math.fsum of them overflows
         path = write_measure(tmp_path, "t.json", [1e-308] * 4)
-        with pytest.warns(DegenerateWeightWarning):
-            code, out, err = run(capsys, command, path)
+        code, out, err = run(capsys, command, path)
         assert (code, err) == (0, "")
         key, want = ("sign", "positive") if command == "det" else ("verdict", "embeddable")
         assert json.loads(out)[key] == want
 
-    @pytest.mark.parametrize("tiny, code", [(1e-300, 0), (5e-324, 2)])
+    @pytest.mark.parametrize("tiny, code", [(1e-300, 0), (5e-324, 0)])
     def test_det_of_a_weight_with_underflowing_square(self, capsys, tmp_path, tiny, code):
         # both O(n) routes round the exact determinant -4 + O(tiny); the
-        # criterion is -inf (null) at 1e-300 and NaN at 5e-324, where 1/tiny is inf
+        # criterion is -inf (null) at 1e-300, and at 5e-324, where 1/tiny is
+        # inf, the exact criterion of the doubles is below -2^2000: -inf too
         path = write_measure(tmp_path, "t.json", [1.0, 1.0, 1.0, tiny])
-        with pytest.warns(DegenerateWeightWarning):
-            got, out, err = run(capsys, "det", path)
+        got, out, err = run(capsys, "det", path)
         assert (got, err) == (code, "")
         doc = json.loads(out)
         assert doc["values"]["closed"] == doc["values"]["lemma"] == -4.0
-        assert doc["criterion"] is None
+        assert (doc["criterion"], doc["sign"]) == (None, "negative")
 
 
     @pytest.mark.parametrize("command", ["det", "embed"])
@@ -248,9 +246,7 @@ class TestNonFiniteValues:
             raise AssertionError(f"{token} is not JSON")
 
         path = write_measure(tmp_path, "m.json", weights)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DegenerateWeightWarning)
-            got, out, _ = run(capsys, argv[0], path, *argv[1:])
+        got, out, _ = run(capsys, argv[0], path, *argv[1:])
         assert got == code
         doc = json.loads(out, parse_constant=refuse)
         for part in key:
@@ -275,12 +271,18 @@ class TestDetCommand:
         assert doc["sign"] == "negative"
         assert doc["criterion"] == "-4096/25"
 
-    def test_boundary_float_exits_two(self, capsys, tmp_path):
+    def test_boundary_float_is_signed_exactly(self, capsys, tmp_path):
+        # inside the float margin the criterion is the exact one of the
+        # doubles, rounded once: (1/x summed as Fractions), not 0.0
         t = 3.0 + 2.0 * math.sqrt(3.0)
-        path = write_measure(tmp_path, "b.json", [1.0, 1.0, 1.0, 1.0 / t])
+        xs = [1.0, 1.0, 1.0, 1.0 / t]
+        path = write_measure(tmp_path, "b.json", xs)
         code, out, _ = run(capsys, "det", path)
-        assert code == 2
-        assert json.loads(out)["sign"] == "boundary"
+        assert code == 0
+        doc = json.loads(out)
+        zs = [1 / Fraction(x) for x in xs]
+        assert doc["criterion"] == float(sum(zs) ** 2 - 2 * sum(z * z for z in zs))
+        assert doc["sign"] == "positive"
 
     def test_pair_rejected(self, capsys, uniform4):
         code, _, err = run(capsys, "det", uniform4, "--simplex", "0,1")
@@ -426,9 +428,7 @@ class TestEmbedCommand:
         # a subnormal float weight stays refused after rescaling, because its
         # coordinates would keep fewer bits than the residual check sees
         path = write_measure(tmp_path, "t.json", weights)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DegenerateWeightWarning)
-            code, out, err = run(capsys, "embed", path)
+        code, out, err = run(capsys, "embed", path)
         assert (code, out) == (1, "")
         assert err == ("atomembed: invalid input: the embedding coordinates or their "
                        "squares are beyond double range\n")
@@ -437,8 +437,7 @@ class TestEmbedCommand:
         # the weights are scaled by 2^996 before the recurrence and the
         # coordinates scaled back, so no square leaves the double range
         path = write_measure(tmp_path, "t.json", [1e-300] * 3)
-        with pytest.warns(DegenerateWeightWarning):
-            code, out, err = run(capsys, "embed", path)
+        code, out, err = run(capsys, "embed", path)
         assert code == 0
         summary = json.loads(err)
         assert (summary["dimension"], summary["base"]) == (2, 0)
@@ -497,7 +496,7 @@ class TestSweepCommand:
         assert code == 0
         verdicts = [line.split(",")[1] for line in out.splitlines()[1:]]
         assert len(verdicts) == 4
-        assert set(verdicts) <= {"E", "N", "I"}
+        assert set(verdicts) <= {"E", "N"}
         assert json.loads(err)["rows"] == 4
 
     def test_unknown_param(self, capsys):
@@ -632,7 +631,8 @@ class TestUsage:
         from atomembed import cli
 
         monkeypatch.delenv("ATOMEMBED_SEED", raising=False)
-        # full criterion exactly 0: exact says E in dimension 2, float says I
+        # full criterion exactly 0: exact says E in dimension 2; its doubles
+        # (1/12 rounded) have a negative criterion, so float says N
         zero = write_measure(tmp_path, "zero.json", [1, 1, "1/4", "1/12"])
         assert run(capsys, "classify", zero)[0] == 0  # builds the parser
 
@@ -641,7 +641,7 @@ class TestUsage:
 
         monkeypatch.setattr(cli, "build_parser", no_rebuild)
         code, out, _ = run(capsys, "classify", zero, "--float")
-        assert code == 2 and json.loads(out)["verdict"] == "indeterminate"
+        assert code == 0 and json.loads(out)["witness"] == [0, 1, 2, 3]
         code, out, _ = run(capsys, "classify", zero)
         assert code == 0 and json.loads(out)["dimension"] == 2
         saved = tmp_path / "check.json"

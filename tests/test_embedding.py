@@ -74,11 +74,15 @@ class TestEmbed:
         with pytest.raises(NotFlatError, match="witness"):
             embed(m)
 
-    def test_float_boundary_rejected(self):
+    def test_float_boundary_embeds_exactly(self):
+        # flat only by the exact criterion (+4.7e-15): the float pivots end
+        # in a negative one, so the doubles are placed again exactly
         t = 3.0 + 2.0 * math.sqrt(3.0)
         m = validate_measure([1.0, 1.0, 1.0, 1.0 / t])
-        with pytest.raises(NotFlatError, match="indeterminate"):
-            embed(m)
+        result = embed(m)
+        assert result.dimension == classify(m).dimension == 3
+        assert result.coordinates.shape == (4, 3)
+        assert result.max_residual <= 1e-15
 
     def test_grey_zone_input_embeds_at_classify_dimension(self):
         # just inside the flat region the smallest Gram eigenvalue is about
@@ -160,7 +164,7 @@ def wide_ratio_weights(draw, scalar, max_exponent):
 def assert_placed(m, bound):
     """Columns, base and per-pair relative residual of embed(m), recomputed here."""
     report = is_flat(m)
-    assert report.flat and not report.boundary
+    assert report.flat
     result = embed(m)
     assert result.coordinates.shape == (m.size, report.dimension)
     assert result.base == m.weights.index(min(m.weights))

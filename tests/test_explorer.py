@@ -7,6 +7,7 @@ from atomembed import (
     bisect_boundary,
     binomial_family,
     family_grid,
+    is_flat,
     mixture,
     realize,
     reduced_criterion,
@@ -129,6 +130,18 @@ class TestBisection:
         with pytest.raises(ValueError, match="empty"):
             bisect_boundary(self.make_path(), Fraction(1), Fraction(0))
 
+    def test_float_midpoints_inside_the_margin_are_decided(self):
+        # below a width of about 1e-9 the float midpoints' full-set criterion
+        # lies inside the margin; each is decided on its doubles as Fractions
+        m0 = validate_measure([0.15, 0.17, 0.16, 0.18, 0.17, 0.17])
+        m1 = validate_measure([1 / 32, 5 / 32, 5 / 16, 5 / 16, 5 / 32, 1 / 32])
+        result = bisect_boundary(lambda t: mixture(m0, m1, t), Fraction(0), Fraction(1),
+                                 tol=1e-12)
+        assert (result.verdict_low, result.verdict_high, result.iterations) == ("E", "N", 40)
+        for _, _, _, mid, letter in result.trace:
+            doubles = [Fraction(w) for w in mixture(m0, m1, mid).weights]
+            assert letter == is_flat(validate_measure(doubles)).letter
+
 
 class TestSampleSimplex:
     def test_count_zero_rejected(self):
@@ -158,7 +171,7 @@ class TestSampleSimplex:
 
     def test_counts_add_up(self):
         s = sample_simplex(5, 500, seed=11)
-        assert s.embeddable + s.not_embeddable + s.indeterminate == s.total
+        assert s.embeddable + s.not_embeddable == s.total
 
     def test_both_classes_at_k5(self):
         s = sample_simplex(5, 2000, seed=0)

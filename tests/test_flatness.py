@@ -1,6 +1,5 @@
 import math
 import time
-import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -9,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from atomembed import (
-    DegenerateWeightWarning,
     binomial_family,
     checked_subsets,
     classify,
@@ -114,14 +112,16 @@ class TestIsFlat:
             scaled = tuple(lam * w for w in ws)
             assert is_flat(validate_measure(scaled)).flat == base
 
-    def test_float_boundary_reports_indeterminate(self):
+    def test_float_boundary_is_decided_exactly(self):
         # reciprocal image (1, 1, 1, 3 + 2*sqrt(3)) sits exactly on the cone
-        # boundary, so the float criterion lands inside the margin
+        # boundary, so the float criterion lands inside the margin; the exact
+        # criterion of these doubles is positive
         t = 3.0 + 2.0 * math.sqrt(3.0)
         m = validate_measure([1.0, 1.0, 1.0, 1.0 / t])
         report = is_flat(m)
-        assert report.boundary == ((0, 1, 2, 3),)
-        assert classify(m).verdict == "indeterminate"
+        assert report.boundary == ()
+        assert report.subset_values[(0, 1, 2, 3)] == 4.737878328208203e-15
+        assert classify(m) == ("embeddable", 3, None)
 
     @pytest.mark.parametrize("shift", [-1000, -536, 0, 536, 664, 1000])
     def test_float_verdict_invariant_under_binary_scaling(self, shift):
@@ -130,9 +130,7 @@ class TestIsFlat:
         t = 3.0 + 2.0 * math.sqrt(3.0)
         for weights, verdict in (([1.0, 1.0, 1.0, 3.0], "embeddable"),
                                  ([1.0, 1.0, 1.0, (1 - 1e-3) / t], "not_embeddable")):
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", DegenerateWeightWarning)
-                m = validate_measure([math.ldexp(w, shift) for w in weights])
+            m = validate_measure([math.ldexp(w, shift) for w in weights])
             assert classify(m).verdict == verdict
             # check's table prints the value the verdict was read from
             full = (0, 1, 2, 3)

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from atomembed import (
-    DegenerateWeightWarning,
     MeasureError,
     ModeConflictError,
     atom_metric,
@@ -65,9 +64,9 @@ class TestValidateMeasure:
         assert m.mode == "float"
         assert m.normalized
 
-    def test_tiny_float_warns(self):
-        with pytest.warns(DegenerateWeightWarning):
-            validate_measure([1e-15, 0.5])
+    def test_tiny_float_is_kept(self):
+        # float verdicts are exact at any scale, so a tiny weight is not flagged
+        assert validate_measure([1e-15, 0.5]).weights == (1e-15, 0.5)
 
     def test_exact_mode_rejects_floats(self):
         with pytest.raises(ModeConflictError):

@@ -1,7 +1,8 @@
 """One route, one sign rule: every verdict comes from the full-set criterion.
 
 The reference below enumerates the subsets itself and decides each sign
-exactly (exact mode) or through ``sign_verdict`` (float mode).  The
+exactly (exact mode) or through ``sign_verdict`` (float mode), deciding a
+float value inside the margin again on the doubles as Fractions.  The
 full-set route behind ``is_flat`` (the verdict from one value, the witness,
 dimension and worst subset from searches over sorted reciprocals) must
 agree with it for ``classify``, ``is_flat``, ``dimension``, ``sweep`` and
@@ -10,7 +11,7 @@ agree with it for ``classify``, ``is_flat``, ``dimension``, ``sweep`` and
 
 import json
 import math
-import warnings
+import sys
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
@@ -23,7 +24,6 @@ import atomembed.flatness as flatness
 from atomembed import (
     EXACT,
     FLOAT,
-    DegenerateWeightWarning,
     Measure,
     checked_subsets,
     classify,
@@ -31,6 +31,7 @@ from atomembed import (
     criterion_sign,
     criterion_table,
     dimension,
+    embed,
     is_flat,
     reduced_criterion,
     sample_simplex,
@@ -41,8 +42,34 @@ from atomembed import (
 from atomembed.cli import main
 from conftest import zero_criterion_weights
 
-LETTER = {"embeddable": "E", "not_embeddable": "N", "indeterminate": "I"}
+LETTER = {"embeddable": "E", "not_embeddable": "N"}
 _T = 3.0 + 2.0 * math.sqrt(3.0)
+
+
+def exact_sign(value):
+    return "positive" if value > 0 else "negative" if value < 0 else "zero"
+
+
+def exact_value(xs):
+    """The criterion at z = 1/x of the weights as Fractions (floats exactly)."""
+    zs = [1 / Fraction(x) for x in xs]
+    return sum(zs) ** 2 - (len(xs) - 2) * sum(z * z for z in zs)
+
+
+def rounded(value):
+    """The double nearest a Fraction, +-inf beyond double range."""
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
+def filtered(value, sign, xs):
+    """A float (value, sign) as is outside the margin, else the exact one of xs."""
+    if sign != "boundary":
+        return value, sign
+    exact = exact_value(xs)
+    return rounded(exact), exact_sign(exact)
 
 
 def enumerate_signs(m):
@@ -51,38 +78,24 @@ def enumerate_signs(m):
         for sub in combinations(range(m.size), size):
             xs = [m.weights[i] for i in sub]
             if m.mode == EXACT:
-                s1 = sum(Fraction(1) / x for x in xs)
-                s2 = sum(Fraction(1) / (x * x) for x in xs)
-                value = s1 * s1 - (size - 2) * s2
-                sign = "positive" if value > 0 else "negative" if value < 0 else "zero"
+                value = exact_value(xs)
+                sign = exact_sign(value)
             else:
                 value = reduced_criterion(xs)
-                sign = sign_verdict(value, criterion_scale(xs), FLOAT)
+                value, sign = filtered(value, sign_verdict(value, criterion_scale(xs), FLOAT),
+                                       xs)
             yield sub, value, sign
 
 
 def reference(m):
-    """(verdict, witness, dimension, boundary) by plain enumeration.
-
-    ``boundary`` is what the full-set route reports: the full set when its
-    own float value lies inside the margin, else nothing.
-    """
-    witness, boundary, dim, full_sign = None, [], min(m.size - 1, 2), None
+    """(verdict, witness, dimension) by plain enumeration."""
+    witness, dim = None, min(m.size - 1, 2)
     for sub, _, sign in enumerate_signs(m):
         if sign == "negative" and witness is None:
             witness = sub
-        elif sign == "boundary":
-            boundary.append(sub)
         elif sign == "positive":
             dim = len(sub) - 1
-        full_sign = sign
-    if witness is not None:
-        verdict = "not_embeddable"
-    elif boundary:
-        verdict = "indeterminate"
-    else:
-        verdict = "embeddable"
-    return verdict, witness, dim, ((tuple(range(m.size)),) if full_sign == "boundary" else ())
+    return "not_embeddable" if witness else "embeddable", witness, dim
 
 
 def reference_worst(m):
@@ -95,13 +108,13 @@ def reference_worst(m):
 
 
 def assert_matches_reference(m):
-    verdict, witness, dim, boundary = reference(m)
+    verdict, witness, dim = reference(m)
     cls = classify(m)
     assert cls.verdict == verdict
     assert cls.witness == witness
     assert cls.dimension == (dim if verdict == "embeddable" else None)
     report = is_flat(m)
-    assert report.boundary == boundary
+    assert report.boundary == ()
     assert report.dimension == dimension(m) == dim
     assert report.classification == cls
     (row,) = sweep([(0, m)])
@@ -129,7 +142,7 @@ def test_exact_verdicts_match_enumeration(weights):
 @settings(max_examples=60, deadline=None)
 @given(float_weights)
 @example([1.0, 1.0, 1.0, 1.0 / _T])
-@example([1.0, 1.0, 1.0, 1.0 / _T, 0.01])  # boundary (0,1,2,3), failing (0,1,2,4)
+@example([1.0, 1.0, 1.0, 1.0 / _T, 0.01])  # (0,1,2,3) in the margin, (0,1,2,4) failing
 def test_float_verdicts_match_enumeration(weights):
     assert_matches_reference(validate_measure(weights))
 
@@ -140,10 +153,8 @@ def formula(xs):
         s1 = math.fsum(1.0 / x for x in xs)
         s2 = math.fsum((1.0 / x) * (1.0 / x) for x in xs)
         value = s1 * s1 - (len(xs) - 2) * s2
-        return value, sign_verdict(value, s1 * s1 + (len(xs) - 2) * s2, FLOAT)
-    s1 = sum(Fraction(1) / x for x in xs)
-    s2 = sum(Fraction(1) / (x * x) for x in xs)
-    value = s1 * s1 - (len(xs) - 2) * s2
+        return filtered(value, sign_verdict(value, s1 * s1 + (len(xs) - 2) * s2, FLOAT), xs)
+    value = exact_value(xs)
     return value, sign_verdict(value, 0, EXACT)
 
 
@@ -157,7 +168,7 @@ def test_sweep_values_equal_the_formula(weights):
     table = criterion_table(m)
     report = is_flat(m)
     assert list(table) == list(checked_subsets(m.size))
-    witness, dim, sign = None, min(m.size - 1, 2), None
+    witness, dim = None, min(m.size - 1, 2)
     for sub, got in table.items():
         value, sign = formula([m.weights[i] for i in sub])
         assert got == value and type(got) is type(value)
@@ -168,8 +179,6 @@ def test_sweep_values_equal_the_formula(weights):
             dim = max(dim, len(sub) - 1)
     assert report.witness == witness
     assert report.flat is (witness is None)
-    # the full set comes last: the route reports it alone as boundary
-    assert report.boundary == ((tuple(range(m.size)),) if sign == "boundary" else ())
     assert report.dimension == dim
 
 
@@ -259,7 +268,7 @@ def test_dimension_reads_the_report(counted):
 # -- the full-set route against the enumeration --------------------------------
 
 def assert_route_matches_enumeration(m):
-    """Verdict, witness, dimension, boundary and worst subset all equal the oracle."""
+    """Verdict, witness, dimension and worst subset all equal the oracle."""
     assert_matches_reference(m)
     worst = reference_worst(m)
     report = is_flat(m)
@@ -313,14 +322,63 @@ def test_route_equals_enumeration_float(weights):
 @example([1.0, 1.0, 1.0, 3.0], 664)  # [1e200, 1e200, 1e200, 3e200]: every z^2 underflows
 @example([1.0, 1.0, 1.0, 3.0], -990)  # every z^2 overflows
 def test_definite_float_verdicts_are_exact_at_every_scale(weights, shift):
-    # doubles are exact dyadic rationals: a definite float verdict must be
-    # the exact verdict of the same values, however far they are scaled
+    # doubles are exact dyadic rationals: every float verdict must be the
+    # exact verdict of the same values, however far they are scaled
     xs = [math.ldexp(w, shift) for w in weights]
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DegenerateWeightWarning)
-        verdict = classify(validate_measure(xs)).verdict
-    if verdict != "indeterminate":
-        assert verdict == classify(validate_measure([Fraction(x) for x in xs])).verdict
+    verdict = classify(validate_measure(xs)).verdict
+    assert verdict == classify(validate_measure([Fraction(x) for x in xs])).verdict
+
+
+def on_the_boundary(weights):
+    """The weights with one more, solved so that the full-set criterion is about 0.
+
+    With z = 1/x of the given m-1 weights, adding an atom at z makes the
+    criterion -a z^2 + 2 S1 z + S1^2 - (m-2) S2, a = m-3; its larger root is
+    (S1 + sqrt(S1^2 + a (S1^2 - (m-2) S2))) / a.  None when there is none.
+    """
+    zs = [1 / w for w in weights]
+    s1, s2, m = math.fsum(zs), math.fsum(z * z for z in zs), len(weights) + 1
+    a = m - 3
+    disc = s1 * s1 + a * (s1 * s1 - (m - 2) * s2)
+    if disc <= 0:
+        return None
+    return weights + [a / (s1 + math.sqrt(disc))]
+
+
+def nudged(x, ulps):
+    for _ in range(abs(ulps)):
+        x = math.nextafter(x, math.copysign(math.inf, ulps))
+    return x
+
+
+boundary_measures = st.builds(
+    on_the_boundary, st.lists(st.floats(0.4, 1.0), min_size=3, max_size=8)
+).filter(lambda ws: ws is not None)
+
+
+@settings(max_examples=150, deadline=None)
+@given(boundary_measures, st.sampled_from([-4, -3, -2, -1, 1, 2, 3, 4]),
+       st.integers(-1000, 1000))
+@example([1.0, 1.0, 1.0, 1.0 / _T], 1, 0)
+@example([1.0, 1.0, 1.0, 1.0 / _T], -1, 1000)
+def test_float_verdicts_at_the_boundary_are_the_exact_ones(weights, ulps, shift):
+    # a few ulps from the full-set boundary the float criterion lies inside
+    # the margin; verdict, witness, dimension and worst subset are those of
+    # the same doubles as Fractions, and a flat measure embeds at its dimension
+    xs = [math.ldexp(w, shift) for w in weights[:-1] + [nudged(weights[-1], ulps)]]
+    m = validate_measure(xs)
+    report, exact = is_flat(m), is_flat(validate_measure([Fraction(x) for x in xs]))
+    assert (report.letter, report.witness, report.dimension) == \
+           (exact.letter, exact.witness, exact.dimension)
+    worst, value = exact.worst
+    if sys.float_info.min <= abs(rounded(value)) < math.inf:
+        assert report.worst == (worst, rounded(value))
+    else:  # values that under- or overflow tie as doubles: the first one is kept
+        assert report.worst[1] == rounded(value)
+    if report.flat:
+        result = embed(m)
+        assert result.dimension == exact.dimension
+        assert result.max_residual <= 1e-8
 
 
 @settings(max_examples=60, deadline=None)
