@@ -227,6 +227,20 @@ class TestVerifyIsometry:
         corrupted[2, 0] += 0.1
         assert verify_isometry(corrupted, atom_metric(m)) >= 0.05
 
+    @pytest.mark.parametrize("n, dim", [(150, 150), (61, 7), (5, 2)])
+    def test_row_blocks_give_the_whole_table_maximum(self, n, dim):
+        # the whole k x k x dim difference table, as before the row blocks;
+        # 150 points of dimension 150 take 4 blocks
+        rng = np.random.default_rng(n)
+        pts = rng.standard_normal((n, dim))
+        d = atom_metric(validate_measure([float(w) for w in rng.uniform(0.5, 1.5, n)]))
+        diff = pts[:, None, :] - pts[None, :, :]
+        dist = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+        target = d.as_array()
+        gap = np.abs(dist - target)
+        np.fill_diagonal(target, 1.0)
+        assert verify_isometry(pts, d) == float(np.max(gap / target))
+
     def test_row_count_mismatch(self):
         m = validate_measure([1, 1, 1])
         with pytest.raises(ValueError, match="rows"):
