@@ -37,20 +37,21 @@ on the weights as Fractions, so every float verdict is the exact verdict of
 the given doubles.
 
 Under z = 1/x the flat region is a solid cone about the all-ones axis, of
-half-angle cosine sqrt((n-1)/(n+1)); that angle test and the quadratic form
-behind it are test oracles (``tests/oracle.py``) that the criterion is held
-to, not part of the package.
+half-angle cosine sqrt((n-1)/(n+1)); the tests hold the criterion to that
+angle test (``tests/oracle.py``).
 """
 
 from __future__ import annotations
 
+import math
+import sys
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
 from typing import Callable, Dict, Iterator, NamedTuple, Optional, Sequence, Tuple
 
 from .gram import criterion_sign, criterion_value, exact_criterion_sign
-from .measure import AtomSubset, Measure
+from .measure import AtomSubset, Measure, validate_measure
 from .scalars import FLOAT, Scalar, over_common_denominator
 
 
@@ -190,7 +191,11 @@ class FlatnessReport:
         least = min(values[tuple(sorted(sub))]
                     for s in range(4, self._size + 1)
                     for sub in _extremes(self._order, s))
-        sub = self._first(lambda s: values[s] <= least)
+        if self.mode == FLOAT and not sys.float_info.min <= least < math.inf:
+            # values that under- or overflow tie: Fractions pick the subset
+            sub = is_flat(validate_measure([Fraction(x) for x in values.weights])).worst[0]
+        else:
+            sub = self._first(lambda s: values[s] <= least)
         return sub, values[sub]
 
     def _first(self, hit: Callable[[AtomSubset], bool]) -> AtomSubset:
@@ -264,10 +269,7 @@ def is_flat(m: Measure) -> FlatnessReport:
     """Decide flatness from the full atom set's criterion sign.
 
     Pairs and triples are flat unconditionally, so a measure on two or three
-    atoms is flat with nothing checked.  The reciprocals are taken once, and
-    each subset's value and sign come from one :func:`criterion_sign` call,
-    exact in exact mode; in float mode a value inside the margin is signed
-    again exactly.
+    atoms is flat with nothing checked.  Subsets are signed by :class:`_Values`.
     """
     return FlatnessReport(m)
 

@@ -14,6 +14,9 @@ algebra, brute-force matrix algebra, and the reciprocal-space cone.
 * Under z = 1/x the flat region is a solid cone about the all-ones axis;
   ``cone_membership`` decides it by comparing angles, independently of the
   criterion's power sums.
+* ``family_by_products`` realizes a built-in family member as products of
+  Fractions through ``validate_measure``: the reference for the package's
+  integer construction.
 """
 
 from __future__ import annotations
@@ -25,7 +28,8 @@ from typing import Iterable, Sequence, Tuple
 import numpy as np
 
 from atomembed.gram import GramError, GramMatrix, _as_rows, det_numeric
-from atomembed.measure import DistanceMatrix, Measure, MeasureError
+from atomembed.families import FamilySpec
+from atomembed.measure import DistanceMatrix, Measure, MeasureError, validate_measure
 from atomembed.scalars import EXACT, FLOAT, Scalar, coerce, infer_mode, parse_scalar
 
 AtomSubset = Tuple[int, ...]
@@ -288,3 +292,23 @@ def cone_membership(xs) -> bool:
     if any(not (x > 0) for x in xs):
         raise ValueError(f"weights must be strictly positive, got {xs}")
     return cone_axis_cos(xs) >= cone_half_angle_cos(n)
+
+
+# -- family members by Fraction products ----------------------------------------
+
+def family_by_products(spec: FamilySpec) -> Measure:
+    """A valid uniform, binomial or hypergeometric member, weight by weight.
+
+    Each binomial weight is C(n,a)·p^a·q^(n−a) in the success probability's
+    own arithmetic, and every member goes through ``validate_measure``.
+    """
+    if spec.kind == "uniform":
+        return validate_measure([Fraction(1, spec.atoms)] * spec.atoms)
+    if spec.kind == "binomial":
+        n, p = spec.trials, spec.success
+        q = (1 - p) if isinstance(p, Fraction) else (1.0 - float(p))
+        return validate_measure([math.comb(n, a) * p ** a * q ** (n - a) for a in range(n + 1)])
+    pop, succ, draws = spec.population, spec.successes, spec.draws
+    total = math.comb(pop, draws)
+    return validate_measure([Fraction(math.comb(succ, a) * math.comb(pop - succ, draws - a), total)
+                             for a in range(draws + 1)])

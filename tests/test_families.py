@@ -2,9 +2,12 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from atomembed import (
     FamilyError,
+    MeasureError,
     binomial_family,
     classify,
     custom_family,
@@ -13,7 +16,11 @@ from atomembed import (
     is_flat,
     realize,
     uniform_family,
+    validate_measure,
 )
+from oracle import family_by_products
+
+HALF = Fraction(1, 2)
 
 
 def brute_force_hypergeometric(population, successes, draws):
@@ -100,10 +107,58 @@ class TestRealize:
         with pytest.raises(FamilyError, match="draws"):
             realize(hypergeometric_family(6, 3, 6))
 
+    def test_float_binomial_members_are_validated(self):
+        m = realize(binomial_family(6, 0.3))
+        assert m == family_by_products(binomial_family(6, 0.3)) == validate_measure(m.weights)
+        # 1e-10^33 underflows to 0.0, which no measure may weigh
+        with pytest.raises(MeasureError, match="non-positive weight at index 33: 0.0"):
+            realize(binomial_family(64, 1e-10))
+
+    @pytest.mark.parametrize("make", [
+        lambda: binomial_family(5.7, HALF),
+        lambda: binomial_family(True, HALF),
+        lambda: uniform_family(4.9),
+        lambda: uniform_family("4"),
+        lambda: hypergeometric_family(10, Fraction(7, 2), 3),
+        lambda: hypergeometric_family(10, 5, float("inf")),
+    ])
+    def test_non_integral_counts_are_refused(self, make):
+        with pytest.raises(FamilyError, match="must be an integer"):
+            make()
+
+    def test_integral_counts_of_any_number_type(self):
+        spec = hypergeometric_family(Fraction(10), 5.0, 3)
+        counts = (spec.population, spec.successes, spec.draws)
+        assert counts == (10, 5, 3) and all(type(v) is int for v in counts)
+
     def test_custom_accepts_unnormalized(self):
         m = realize(custom_family([1, 5, 10, 10, 5, 1]))
         assert not m.normalized
         assert classify(m).verdict == "not_embeddable"
+
+
+@st.composite
+def exact_members(draw):
+    """Exact uniform, binomial (p = a/b) and hypergeometric family specs."""
+    kind = draw(st.sampled_from(["uniform", "binomial", "hypergeometric"]))
+    if kind == "uniform":
+        return uniform_family(draw(st.integers(2, 80)))
+    if kind == "binomial":
+        b = draw(st.one_of(st.integers(2, 12), st.integers(2, 10**12)))
+        return binomial_family(draw(st.integers(1, 64)), Fraction(draw(st.integers(1, b - 1)), b))
+    pop = draw(st.integers(2, 40))
+    succ = draw(st.integers(1, pop - 1))
+    return hypergeometric_family(pop, succ, draw(st.integers(1, min(succ, pop - succ))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(exact_members())
+def test_exact_members_equal_the_fraction_products(spec):
+    m = realize(spec)
+    assert m == family_by_products(spec)
+    assert m == validate_measure(m.weights)
+    assert m.mode == "exact" and m.normalized
+    assert all(type(w) is Fraction for w in m.weights)
 
 
 class TestFamilyGrid:
