@@ -35,18 +35,9 @@ from .families import (
     uniform_family,
 )
 from .flatness import classify, criterion_table, is_flat
-from .gram import (
-    criterion_sign,
-    det_closed_form,
-    det_lemma_route,
-    det_numeric,
-    det_pivots,
-    exact_criterion_sign,
-    gram_matrix,
-)
+from .gram import det_closed_form, det_lemma_route, det_pivots
 from .measure import (
     MeasureError,
-    atom_metric,
     load_measure,
     measure_from_json,
     measure_to_json,
@@ -145,26 +136,17 @@ def _cmd_det(args) -> int:
         raise CliError(f"simplex {args.simplex} must list distinct atom indices "
                        f"from 0 to {m.size - 1}")
     xs = m.subset_weights(simplex)
-    values = {}
-    if args.mode in ("closed", "all"):
-        values["closed"] = det_closed_form(xs)
-    if args.mode in ("numeric", "all"):
-        det = det_pivots(xs)
-        values["numeric"] = (det if det is not None
-                             else det_numeric(gram_matrix(atom_metric(m), simplex)))
-    if args.mode in ("lemma", "all"):
-        values["lemma"] = det_lemma_route(xs)
-    zs = m.reciprocals()
-    criterion, sign = criterion_sign([zs[i] for i in simplex])
-    if sign == "boundary":
-        criterion, sign = exact_criterion_sign(xs)
+    routes = {"closed": det_closed_form, "numeric": det_pivots, "lemma": det_lemma_route}
+    values = {name: scalar_to_json(route(xs)) for name, route in routes.items()
+              if args.mode in (name, "all")}
+    subset_values, sub = is_flat(m).subset_values, tuple(sorted(simplex))
     _emit_json({
         "simplex": simplex,
         "order": len(simplex) - 1,
         "mode": m.mode,
-        "values": {k: scalar_to_json(v) for k, v in values.items()},
-        "criterion": scalar_to_json(criterion),
-        "sign": sign,
+        "values": values,
+        "criterion": scalar_to_json(subset_values[sub]),
+        "sign": subset_values.sign(sub),
     }, args.out)
     return 0
 
@@ -249,15 +231,14 @@ def _family_from_args(args) -> FamilySpec:
 def _parse_cli_scalar(text: str):
     """Numbers on the command line: "p/q" and integers exact, decimals float."""
     text = text.strip()
-    if "/" in text:
-        return Fraction(text)
     try:
-        return int(text)
-    except ValueError:
-        pass
-    try:
-        return float(text)
-    except ValueError as exc:
+        if "/" in text:
+            return Fraction(text)
+        try:
+            return int(text)
+        except ValueError:
+            return float(text)
+    except (ValueError, ZeroDivisionError) as exc:
         raise CliError(f"cannot parse number {text!r}") from exc
 
 

@@ -11,6 +11,7 @@ and bisections load neither.
 from __future__ import annotations
 
 import math
+import os
 from fractions import Fraction
 from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -207,7 +208,7 @@ def sample_simplex(k: int, count: int, seed: int = 0, jobs: int = 1,
 
     Returns a SampleSummary, or (summary, rows) with ``keep_rows``; only then
     is each draw's worst subset searched for.  Results are bit-identical for
-    a given seed regardless of ``jobs``.
+    a given seed regardless of ``jobs``, which is capped at the core count.
     """
     if k < 3:
         raise ValueError(f"sampling needs k >= 3 (four atoms), got k={k}")
@@ -216,6 +217,9 @@ def sample_simplex(k: int, count: int, seed: int = 0, jobs: int = 1,
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     seed = int(seed)
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
+    jobs = min(jobs, os.cpu_count() or 1)
 
     if jobs == 1 or count < 4 * jobs:
         rows = _sample_chunk((seed, k, 0, count, keep_rows))

@@ -3,23 +3,22 @@
 The determinant of the matrix M whose (i,j) entry is the triple product
 relative to a chosen base point decides whether an (n+1)-point configuration
 of atoms can be realized in Euclidean space.  Three independent routes are
-provided and cross-checked, each in O(n) steps for exact weights:
+provided and cross-checked, each in O(n) steps:
 
   * the closed form 2^(n-1) * (E^2 - (n-1) Q), where E and Q are the sums of
     the products of all weights but one and of their squares, on integers;
-  * elimination: for exact weights, :func:`det_pivots` multiplies the pivots
-    of the LDL^T that ``embed`` also runs (:func:`_exact_ldl`, on a 2x2
-    state of Python integers over one shared denominator); float weights
-    and exact zero pivots take :func:`det_numeric` of the
-    :func:`gram_matrix`, fraction-free (Bareiss) on integers when no entry
-    is a float, IEEE with full pivoting otherwise;
+  * elimination: :func:`det_pivots` multiplies the pivots of the LDL^T that
+    ``embed`` also runs (:func:`_exact_ldl`, on a 2x2 state of Python
+    integers over one shared denominator); after an exact zero pivot it
+    takes :func:`det_numeric` of the :func:`gram_matrix`, fraction-free
+    (Bareiss) elimination on integers;
   * a rank-one-update route M = A + v v^t, combined through
     det(A + u v^t) = det(A) + v^t Adj(A) u; the closed-form adjugate of A is
     a diagonal plus a rank-one matrix, so the quadratic form needs only two
     power sums.
 
-The closed form and the rank-one route are exact, on float weights too (a
-double is a dyadic rational): they round once, to the same double.
+All three routes are exact, on float weights too (a double is a dyadic
+rational): they round once, to the same double.
 
 The cofactor adjugate, the general determinant lemma, the Gram matrix
 built from the weights alone and the pivot recurrence in Fractions are test
@@ -46,9 +45,9 @@ from __future__ import annotations
 import math
 import sys
 from fractions import Fraction
-from typing import NamedTuple, Optional, Sequence, Tuple
+from typing import NamedTuple, Sequence, Tuple
 
-from .measure import DistanceMatrix
+from .measure import DistanceMatrix, Measure, atom_metric
 from .scalars import BOUNDARY_MARGIN, EXACT, FLOAT, Scalar, infer_mode, over_common_denominator
 
 
@@ -120,35 +119,34 @@ def _as_rows(matrix):
 
 
 def det_numeric(matrix) -> Scalar:
-    """Determinant by Gaussian elimination.
+    """Determinant by fraction-free (Bareiss) elimination on the exact entries.
 
-    Exact when every entry is an int or a Fraction: the denominators are
-    cleared once, by their least common multiple L, and fraction-free
-    (Bareiss) elimination runs on Python integers, so the result is the
-    Fraction det / L^n.  Any float entry makes it IEEE elimination with full
-    pivoting, because the Gram matrices near the boundary are symmetric but
-    indefinite.  On a :func:`gram_matrix` it costs O(n^3) steps after the
-    n^2 triple products, so ``det`` calls it only where :func:`det_pivots`
-    returns None: for float weights and after an exact zero pivot.
+    The entries, ints, Fractions or doubles (a double is a dyadic rational),
+    are put over their least common denominator L and eliminated on Python
+    integers, so the determinant is det / L^n exactly: a Fraction, or the
+    nearest double (+-inf beyond range) when any entry is a float.  A
+    non-finite entry raises GramError.  On a :func:`gram_matrix` it costs
+    O(n^3) steps after the n^2 triple products, so ``det`` reaches it only
+    through :func:`det_pivots`, after an exact zero pivot.
     """
     rows = _as_rows(matrix)
-    n = len(rows)
-    if n == 0:
-        return Fraction(1)
-    if all(isinstance(a, (int, Fraction)) for row in rows for a in row):
-        return _det_bareiss(rows)
-    return _det_full_pivot(rows)
+    entries = [a for row in rows for a in row]
+    if any(isinstance(a, float) and not math.isfinite(a) for a in entries):
+        raise GramError(f"matrix entries must be finite, got {rows}")
+    det = _det_bareiss([Fraction(a) for a in entries], len(rows))
+    return _rounded(det.numerator, det.denominator, entries)
 
 
-def _det_bareiss(rows) -> Fraction:
-    """Exact determinant of int/Fraction rows by fraction-free elimination.
+def _det_bareiss(entries: Sequence[Fraction], n: int) -> Fraction:
+    """Exact determinant of the n x n matrix with these entries, row by row.
 
     After step k every entry below and right of the pivot is a (k+2)-minor
     of the cleared matrix, so the division by the previous pivot is exact.
     Rows are swapped only to skip a zero pivot.
     """
-    n = len(rows)
-    flat, den = over_common_denominator([a for row in rows for a in row])
+    if n == 0:
+        return Fraction(1)
+    flat, den = over_common_denominator(entries)
     m = [list(flat[i:i + n]) for i in range(0, n * n, n)]
     sign, prev = 1, 1
     for k in range(n - 1):
@@ -166,38 +164,6 @@ def _det_bareiss(rows) -> Fraction:
                 row[j] = (pivot * row[j] - lead * top[j]) // prev
         prev = pivot
     return Fraction(sign * m[n - 1][n - 1], den ** n)
-
-
-def _det_full_pivot(rows) -> Scalar:
-    """IEEE determinant with full pivoting; ``rows`` is eliminated in place."""
-    n = len(rows)
-    det = 1
-    sign = 1
-    for step in range(n):
-        piv_r, piv_c, piv_abs = -1, -1, None
-        for r in range(step, n):
-            for c in range(step, n):
-                a = abs(rows[r][c])
-                if piv_abs is None or a > piv_abs:
-                    piv_r, piv_c, piv_abs = r, c, a
-        if piv_abs == 0:
-            return piv_abs  # zero in the entries' own type
-        if piv_r != step:
-            rows[step], rows[piv_r] = rows[piv_r], rows[step]
-            sign = -sign
-        if piv_c != step:
-            for row in rows:
-                row[step], row[piv_c] = row[piv_c], row[step]
-            sign = -sign
-        pivot = rows[step][step]
-        det *= pivot
-        for r in range(step + 1, n):
-            factor = rows[r][step] / pivot
-            if factor == 0:
-                continue
-            for c in range(step, n):
-                rows[r][c] -= factor * rows[step][c]
-    return sign * det
 
 
 def _ldl_pivots(xs: Sequence[float], base: int):
@@ -256,28 +222,30 @@ def _exact_ldl(ints: Sequence[int], base: int):
     return steps, (t00, t01, t11, q)
 
 
-def det_pivots(xs: Sequence[Scalar]) -> Optional[Fraction]:
-    """Exact determinant of the atom Gram matrix: the product of its LDL^T pivots.
+def det_pivots(xs: Sequence[Scalar]) -> Scalar:
+    """Determinant of the atom Gram matrix: the product of its LDL^T pivots.
 
     The base is xs[0]; a Gram determinant is the same over every base and
     under any symmetric reordering.  The pivots come from :func:`_exact_ldl`
-    on the weights over their common denominator D, and their product
-    telescopes: pivot j is lambda_j det(S_(j-1)) / det(S_j) with
-    lambda_j = 2 x_j^2, so it is det(S_0) prod(lambda) / det(S_n), where
-    det(S_0) = -2 and det(S_n) = (t00 t11 - t01^2) / q^2.  Returns None
-    for float weights, where unpivoted LDL^T is not stable, and at a zero
-    pivot, after which plain LDL^T no longer factors the matrix;
-    :func:`det_numeric` of the :func:`gram_matrix` decides both.
+    on the weights over their common denominator D (float weights are the
+    dyadic rationals they are), and their product telescopes: pivot j is
+    lambda_j det(S_(j-1)) / det(S_j) with lambda_j = 2 x_j^2, so it is
+    det(S_0) prod(lambda) / det(S_n), where det(S_0) = -2 and
+    det(S_n) = (t00 t11 - t01^2) / q^2.  The value is exact, rounded once
+    for float weights, as in :func:`det_closed_form`.  After a zero pivot
+    plain LDL^T no longer factors the matrix; the value is then
+    :func:`det_numeric` of the :func:`gram_matrix` of the exact weights.
     """
-    if infer_mode(xs) == FLOAT:
-        return None
-    ints, den = over_common_denominator(xs)
+    xs = _checked(xs, "pivot product", "weights")
+    exact = tuple(map(Fraction, xs))
+    ints, den = over_common_denominator(exact)
     steps, (t00, t01, t11, q) = _exact_ldl(ints, 0)
     if any(p == 0 for _, p, *_ in steps):
-        return None
+        det = det_numeric(gram_matrix(atom_metric(Measure(exact, EXACT, False)), range(len(xs))))
+        return _rounded(det.numerator, det.denominator, xs)
     n = len(steps)
-    return Fraction(-(2 ** (n + 1)) * math.prod(ints[1:]) ** 2 * q * q,
-                    den ** (2 * n) * (t00 * t11 - t01 * t01))
+    return _rounded(-(2 ** (n + 1)) * math.prod(ints[1:]) ** 2 * q * q,
+                    den ** (2 * n) * (t00 * t11 - t01 * t01), xs)
 
 
 def det_lemma_route(xs: Sequence[Scalar]) -> Scalar:
@@ -315,11 +283,14 @@ def _partial_sums(ints: Sequence[int]) -> Tuple[int, int, int]:
 
 
 def _determinant(num: int, den: int, xs: Sequence[Scalar]) -> Scalar:
-    """2^(n-1) num / den^(2n) over n+1 weights xs: a Fraction for exact weights,
-    else the nearest double."""
+    """2^(n-1) num / den^(2n) over n+1 weights xs, :func:`_rounded`."""
     n = len(xs) - 1
-    num, den = (2 ** (n - 1)) * num, den ** (2 * n)
-    return Fraction(num, den) if infer_mode(xs) == EXACT else _nearest(num, den)
+    return _rounded((2 ** (n - 1)) * num, den ** (2 * n), xs)
+
+
+def _rounded(num: int, den: int, values: Sequence[Scalar]) -> Scalar:
+    """num / den: a Fraction when no value is a float, else the nearest double."""
+    return Fraction(num, den) if infer_mode(values) == EXACT else _nearest(num, den)
 
 
 def _nearest(num: int, den: int) -> float:
@@ -327,7 +298,7 @@ def _nearest(num: int, den: int) -> float:
     try:
         return num / den
     except OverflowError:
-        return math.inf if num > 0 else -math.inf
+        return math.inf if (num > 0) == (den > 0) else -math.inf
 
 
 def det_closed_form(xs: Sequence[Scalar]) -> Scalar:

@@ -71,6 +71,17 @@ class TestFamilyCommand:
         assert code == 1
         assert "needs" in err
 
+    @pytest.mark.parametrize("argv, number", [
+        (["family", "binomial", "--n", "5", "--p", "1/0"], "1/0"),
+        (["family", "custom", "--weights", "1,2,3/0"], "3/0"),
+        (["sweep", "binomial", "--n", "5", "--p", "1/2", "--param", "p",
+          "--start", "1/0", "--stop", "1/2", "--steps", "3"], "1/0"),
+    ], ids=["family_binomial", "family_custom", "sweep"])
+    def test_zero_denominator_exits_one(self, capsys, argv, number):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err == f"atomembed: error: cannot parse number {number!r}\n"
+
     def test_round_trip_family_check(self, capsys, tmp_path):
         code, out, _ = run(capsys, "family", "binomial", "--n", "5", "--p", "1/2")
         saved = tmp_path / "m.json"
@@ -218,22 +229,29 @@ class TestNonFiniteValues:
         assert (doc["criterion"], doc["sign"]) == (None, "negative")
 
 
-    @pytest.mark.parametrize("command", ["det", "embed"])
+    def test_det_of_an_overflowing_triple_product_prints_null(self, capsys, tmp_path):
+        # (1 + 1e200)^2 does not fit a double, but no route squares a double:
+        # each rounds the exact determinant, about 1.2e401, to inf (null)
+        xs = [1.0, 1.0, 1.0, 1e200]
+        path = write_measure(tmp_path, "h.json", xs)
+        code, out, err = run(capsys, "det", path)
+        assert (code, err) == (0, "")
+        doc = json.loads(out)
+        assert doc["values"] == {"closed": None, "numeric": None, "lemma": None}
+        assert det_closed_form([Fraction(x) for x in xs]) > 2 ** 1024
+        assert doc["sign"] == "positive"
+
+    @pytest.mark.parametrize("command", ["embed"])
     def test_overflowing_triple_product_exits_one(self, capsys, tmp_path, command):
-        # (1 + 1e200)^2 does not fit a double.  embed scales float weights by
-        # a power of two first, so it embeds that measure; at 1e308 the light
-        # weights, scaled by 2^-512, have squares below the normal range
-        heavy = {"det": 1e200, "embed": 1e308}[command]
-        path = write_measure(tmp_path, "h.json", [1.0, 1.0, 1.0, heavy])
+        # embed scales float weights by a power of two first, so it embeds
+        # [1, 1, 1, 1e200]; at 1e308 the light weights, scaled by 2^-512,
+        # have squares below the normal range
+        path = write_measure(tmp_path, "h.json", [1.0, 1.0, 1.0, 1e308])
         code, out, err = run(capsys, command, path)
         assert code == 1
         assert out == ""
-        assert err == {
-            "det": "atomembed: invalid input: triple product entry (1, 3) over base 0 "
-                   "overflows in double precision; supply rational weights\n",
-            "embed": "atomembed: invalid input: the embedding coordinates or their "
-                     "squares are beyond double range\n",
-        }[command]
+        assert err == ("atomembed: invalid input: the embedding coordinates or their "
+                       "squares are beyond double range\n")
 
     @pytest.mark.parametrize("weights, argv, code, key", [
         ([1.0, 1.0, 1.0, 1e-300], ["check"], 0, ("subset_values", "0,1,2,3")),
@@ -332,10 +350,10 @@ class TestDetCommand:
     ], ids=["zero_pivot", "heavy_base", "huge", "tiny_off_base"])
     def test_exact_values_equal_the_oracles(self, capsys, tmp_path, monkeypatch,
                                             weights, simplex, fallback):
-        from atomembed import cli
+        from atomembed import gram
 
         calls = []
-        monkeypatch.setattr(cli, "det_numeric",
+        monkeypatch.setattr(gram, "det_numeric",
                             lambda g: calls.append(g) or det_numeric(g))
         path = write_measure(tmp_path, "m.json", weights)
         argv = ["det", path] + (["--simplex", simplex] if simplex else [])
@@ -363,8 +381,10 @@ class TestDetCommand:
             with contextlib.redirect_stdout(out):
                 main(["det", path, "--mode", "numeric",
                       "--simplex", ",".join(map(str, pts))])
-        want = det_numeric(gram_matrix(atom_metric(validate_measure(weights)), pts))
-        assert json.loads(out.getvalue())["values"]["numeric"] == scalar_to_json(want)
+        # Bareiss elimination of the Gram matrix of the exact doubles, rounded once
+        exact = validate_measure([Fraction(w) for w in weights])
+        want = float(det_numeric(gram_matrix(atom_metric(exact), pts)))
+        assert json.loads(out.getvalue())["values"]["numeric"] == want
 
 
     @settings(max_examples=60, deadline=None)
@@ -377,9 +397,11 @@ class TestDetCommand:
             out = io.StringIO()
             with contextlib.redirect_stdout(out):
                 main(["det", path, "--mode", "all"])
-        values = json.loads(out.getvalue())["values"]
+        doc = json.loads(out.getvalue())
+        values = doc["values"]
         exact = det_closed_form([Fraction(w) for w in weights])
-        assert values["closed"] == values["lemma"] == float(exact)
+        assert values["closed"] == values["numeric"] == values["lemma"] == float(exact)
+        assert doc["sign"] == ("positive" if exact > 0 else "negative" if exact < 0 else "zero")
 
 
 class TestEmbedCommand:
@@ -536,6 +558,17 @@ class TestSampleCommand:
         code, out, _ = run(capsys, "sample", "--k", "4", "--count", "10")
         assert code == 0
         assert json.loads(out)["seed"] == 99
+
+    @pytest.mark.parametrize("flag", [True, False], ids=["flag", "environment"])
+    def test_negative_seed_exits_one(self, capsys, monkeypatch, flag):
+        argv = ["sample", "--k", "3", "--count", "5"]
+        if flag:
+            argv += ["--seed", "-1"]
+        else:
+            monkeypatch.setenv("ATOMEMBED_SEED", "-1")
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err == "atomembed: invalid input: seed must be nonnegative, got -1\n"
 
     def test_bad_count(self, capsys):
         code, _, err = run(capsys, "sample", "--k", "4", "--count", "0")

@@ -164,6 +164,36 @@ class TestSampleSimplex:
         assert s1 == s2
         assert rows1 == rows2
 
+    def test_jobs_are_capped_at_the_core_count(self, monkeypatch):
+        import concurrent.futures
+
+        pools = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, chunks):
+                return map(fn, chunks)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr("os.cpu_count", lambda: 2)
+        assert sample_simplex(4, 40, seed=3, jobs=64) == sample_simplex(4, 40, seed=3)
+        assert pools == [2]
+        monkeypatch.setattr("os.cpu_count", lambda: None)  # unknown: one process
+        sample_simplex(4, 40, seed=3, jobs=64)
+        assert pools == [2]
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="seed must be nonnegative, got -1"):
+            sample_simplex(4, 10, seed=-1)
+
     def test_different_seeds_differ(self):
         s1 = sample_simplex(4, 200, seed=1)
         s2 = sample_simplex(4, 200, seed=2)

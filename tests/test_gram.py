@@ -1,6 +1,7 @@
 import math
 import statistics
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from atomembed import (
     triple_product,
     validate_measure,
 )
+from atomembed import gram
 from atomembed.gram import _exact_ldl
 from atomembed.scalars import over_common_denominator
 from conftest import float_tuple, rational_tuple, zero_criterion_weights
@@ -243,7 +245,18 @@ class TestDetNumeric:
     @given(st.integers(1, 8).flatmap(lambda n: st.lists(
         st.lists(st.floats(-4, 4), min_size=n, max_size=n), min_size=n, max_size=n)))
     def test_float_is_full_pivot_elimination(self, rows):
-        assert det_numeric(rows) == full_pivot_det(rows)
+        # of the doubles' exact values, rounded once
+        assert det_numeric(rows) == float(full_pivot_det([[Fraction(a) for a in row]
+                                                          for row in rows]))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_entry_is_refused(self, bad):
+        with pytest.raises(GramError, match="finite"):
+            det_numeric([[1.0, bad], [2.0, 3.0]])
+
+    def test_float_beyond_range_rounds_to_infinity(self):
+        assert det_numeric([[1e200, 0.0], [0.0, -1e200]]) == -math.inf
+        assert det_numeric([[1e-200, 0.0], [0.0, 1e-200]]) == 0.0
 
     def test_huge_integers_are_exact(self):
         big = 10 ** 20
@@ -429,9 +442,8 @@ def test_integer_recurrence_equals_the_fraction_oracle(weights):
                 for i, *_ in oracle[pos + 1:]:
                     u0, u1 = ints[base] + ints[i], ints[i]
                     assert Fraction(u0 * w0 + u1 * w1, p) == (xs[base] + xs[i]) * v0 + xs[i] * v1
-    zero_pivot = any(pivot == 0 for _, pivot, _, _ in ldl_pivots(xs, 0, signed=True))
     det = det_pivots(xs)
-    assert det is None if zero_pivot else det == det_closed_form(xs)
+    assert det == det_closed_form(xs) and type(det) is Fraction
     if is_flat(m).flat:
         assert embed(m).coordinates.tobytes() == placed_atoms(xs).tobytes()
 
@@ -446,22 +458,30 @@ class TestDetRoutes:
         leading_zero = any(det_numeric([row[:k] for row in rows[:k]]) == 0
                            for k in range(1, len(rows) + 1))
         assert leading_zero or shape != "zero_pivot"
-        pivots = det_pivots(xs)
-        # a zero pivot is left to det_numeric; every other product is the determinant
-        assert (pivots is None) == leading_zero
-        assert pivots is None or (pivots == oracle and type(pivots) is Fraction)
+        # past a zero pivot det_pivots takes det_numeric of the Gram matrix
+        with mock.patch.object(gram, "det_numeric", wraps=gram.det_numeric) as fallback:
+            pivots = det_pivots(xs)
+        assert fallback.call_count == leading_zero
+        assert pivots == oracle == det_closed_form(xs) and type(pivots) is Fraction
         lemma = det_lemma_route(xs)
         assert lemma == lemma_sum(xs) == oracle
         assert type(lemma) is Fraction
+
+    @pytest.mark.parametrize("xs", [[1.0, 1.0, 1.0, 1.0, 0.25, 0.25],
+                                    [0.25, 1.0, 1.0, 0.25, 1.0, 1.0, 0.5, 3.0]])
+    def test_float_zero_pivot_rounds_the_exact_elimination(self, xs):
+        # z = 1/x = (1, 1, 1, 1, 4, 4) is a zero point, so the pivot of the
+        # sixth atom is exactly 0 (the last, or with atoms after it)
+        with mock.patch.object(gram, "det_numeric", wraps=gram.det_numeric) as fallback:
+            det = det_pivots(xs)
+        assert fallback.call_count == 1
+        assert det == det_closed_form(xs) == float(det_closed_form([Fraction(x) for x in xs]))
+        assert type(det) is float
 
     def test_integer_weights_give_fractions(self):
         for route in (det_pivots, det_lemma_route):
             got = route([1, 2, 3, 4])
             assert got == det_closed_form([1, 2, 3, 4]) and type(got) is Fraction
-
-    @given(st.lists(st.floats(0.001, 1000.0), min_size=3, max_size=12))
-    def test_float_weights_leave_numeric_to_elimination(self, xs):
-        assert det_pivots(xs) is None
 
     def test_float_lemma_no_less_accurate_than_the_materialized_sum(self, rng):
         # error relative to the exact determinant of the same doubles
@@ -496,7 +516,7 @@ class TestDetRoutes:
             nearest = float(det)
         except OverflowError:
             nearest = math.inf if det > 0 else -math.inf
-        assert det_closed_form(xs) == det_lemma_route(xs) == nearest
+        assert det_closed_form(xs) == det_lemma_route(xs) == det_pivots(xs) == nearest
 
     @pytest.mark.parametrize("tiny", [1e-170, 1e-300, 5e-324])
     def test_float_weight_with_underflowing_square_is_rounded_exactly(self, tiny):
@@ -511,7 +531,7 @@ class TestDetRoutes:
         assert det_closed_form(xs) == det_lemma_route(xs) == det_pivots(xs)
         floats = [rng.uniform(0.5, 2.0) for _ in range(301)]
         nearest = float(det_pivots([Fraction(x) for x in floats]))
-        assert det_closed_form(floats) == det_lemma_route(floats) == nearest
+        assert det_closed_form(floats) == det_lemma_route(floats) == det_pivots(floats) == nearest
 
 
 class TestReducedCriterion:
