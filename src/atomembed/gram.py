@@ -130,30 +130,22 @@ def det_numeric(matrix) -> Scalar:
     through :func:`det_pivots`, after an exact zero pivot.
     """
     rows = _as_rows(matrix)
-    entries = [a for row in rows for a in row]
+    n, entries = len(rows), [a for row in rows for a in row]
     if any(isinstance(a, float) and not math.isfinite(a) for a in entries):
         raise GramError(f"matrix entries must be finite, got {rows}")
-    det = _det_bareiss([Fraction(a) for a in entries], len(rows))
-    return _rounded(det.numerator, det.denominator, entries)
-
-
-def _det_bareiss(entries: Sequence[Fraction], n: int) -> Fraction:
-    """Exact determinant of the n x n matrix with these entries, row by row.
-
-    After step k every entry below and right of the pivot is a (k+2)-minor
-    of the cleared matrix, so the division by the previous pivot is exact.
-    Rows are swapped only to skip a zero pivot.
-    """
     if n == 0:
         return Fraction(1)
-    flat, den = over_common_denominator(entries)
+    flat, den = over_common_denominator([Fraction(a) for a in entries])
     m = [list(flat[i:i + n]) for i in range(0, n * n, n)]
+    # after step k every entry below and right of the pivot is a (k+2)-minor
+    # of the cleared matrix, so the division by the previous pivot is exact;
+    # rows are swapped only to skip a zero pivot
     sign, prev = 1, 1
     for k in range(n - 1):
         if m[k][k] == 0:
             swap = next((r for r in range(k + 1, n) if m[r][k] != 0), None)
             if swap is None:
-                return Fraction(0)
+                return _rounded(0, 1, entries)
             m[k], m[swap] = m[swap], m[k]
             sign = -sign
         top = m[k]
@@ -163,7 +155,7 @@ def _det_bareiss(entries: Sequence[Fraction], n: int) -> Fraction:
             for j in range(k + 1, n):
                 row[j] = (pivot * row[j] - lead * top[j]) // prev
         prev = pivot
-    return Fraction(sign * m[n - 1][n - 1], den ** n)
+    return _rounded(sign * m[n - 1][n - 1], den ** n, entries)
 
 
 def _ldl_pivots(xs: Sequence[float], base: int):
