@@ -478,6 +478,16 @@ class TestDetRoutes:
         assert det == det_closed_form(xs) == float(det_closed_form([Fraction(x) for x in xs]))
         assert type(det) is float
 
+    @given(st.lists(st.floats(0.001, 1000.0), min_size=3, max_size=12))
+    def test_float_weights_leave_numeric_to_elimination(self, xs):
+        # float weights no longer make det_pivots give up: its value is the
+        # exact elimination of the Gram matrix of the same doubles, rounded once
+        exact = validate_measure([Fraction(x) for x in xs])
+        elimination = det_numeric(gram_matrix(atom_metric(exact), range(len(xs))))
+        det = det_pivots(xs)
+        assert det == float(elimination) == float(det_pivots(exact.weights))
+        assert type(det) is float
+
     def test_integer_weights_give_fractions(self):
         for route in (det_pivots, det_lemma_route):
             got = route([1, 2, 3, 4])
