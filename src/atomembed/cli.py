@@ -139,14 +139,16 @@ def _cmd_det(args) -> int:
     routes = {"closed": det_closed_form, "numeric": det_pivots, "lemma": det_lemma_route}
     values = {name: scalar_to_json(route(xs)) for name, route in routes.items()
               if args.mode in (name, "all")}
-    subset_values, sub = is_flat(m).subset_values, tuple(sorted(simplex))
+    # the simplex's own report, whose full set is the simplex
+    subset_values = is_flat(m._replace(weights=m.subset_weights(sorted(simplex)))).subset_values
+    full = tuple(range(len(simplex)))
     _emit_json({
         "simplex": simplex,
         "order": len(simplex) - 1,
         "mode": m.mode,
         "values": values,
-        "criterion": scalar_to_json(subset_values[sub]),
-        "sign": subset_values.sign(sub),
+        "criterion": scalar_to_json(subset_values[full]),
+        "sign": subset_values.sign(full),
     }, args.out)
     return 0
 
@@ -192,7 +194,7 @@ def _cmd_classify(args) -> int:
 
 def _cmd_embed(args) -> int:
     m = _load(args.measure, args)
-    result = embed(m, isometry_tol=args.tol)
+    result = embed(m)
     rows = [[format_decimal(c) for c in row] for row in result.coordinates]
     header = [f"c{i}" for i in range(result.dimension)]
     summary = {
@@ -397,8 +399,6 @@ def build_parser() -> _Parser:
     p = sub.add_parser("embed", help="coordinates realizing the atom metric")
     p.add_argument("measure")
     p.add_argument("--out", help="write the coordinate CSV here")
-    p.add_argument("--tol", type=float, default=1e-8,
-                   help="relative error bound on each distance (default 1e-8)")
     _mode_flags(p)
     p.set_defaults(func=_cmd_embed)
 
@@ -487,6 +487,10 @@ def main(argv=None) -> int:
         return 1
     except ValueError as exc:
         print(f"atomembed: invalid input: {exc}", file=sys.stderr)
+        return 1
+    except OSError as exc:
+        detail = f"{exc.filename}: {exc.strerror}" if exc.filename else exc
+        print(f"atomembed: error: {detail}", file=sys.stderr)
         return 1
 
 

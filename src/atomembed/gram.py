@@ -7,9 +7,9 @@ provided and cross-checked, each in O(n) steps:
 
   * the closed form 2^(n-1) * (E^2 - (n-1) Q), where E and Q are the sums of
     the products of all weights but one and of their squares, on integers;
-  * elimination: :func:`det_pivots` multiplies the pivots of the LDL^T that
-    ``embed`` also runs (:func:`_exact_ldl`, on a 2x2 state of Python
-    integers over one shared denominator); after an exact zero pivot it
+  * elimination: :func:`det_pivots` multiplies the pivots of the LDL^T
+    (:func:`_ldl`, on a 2x2 state of Python integers over one shared
+    denominator); after an exact zero pivot it
     takes :func:`det_numeric` of the :func:`gram_matrix`, fraction-free
     (Bareiss) elimination on integers;
   * a rank-one-update route M = A + v v^t, combined through
@@ -22,8 +22,8 @@ rational): they round once, to the same double.
 
 The cofactor adjugate, the general determinant lemma, the Gram matrix
 built from the weights alone and the pivot recurrence in Fractions are test
-oracles, in ``tests/oracle.py``.  Float weights run the recurrence in
-floats (:func:`_ldl_pivots`), for ``embed`` only.
+oracles, in ``tests/oracle.py``.  ``embed`` runs the same :func:`_ldl`,
+on integers for exact weights and on doubles for float ones.
 
 The sign, which is all that classification needs, is that of the cone
 criterion (sum z)^2 - (n-1) sum z^2 at the reciprocals z = 1/x, taken once
@@ -158,59 +158,39 @@ def det_numeric(matrix) -> Scalar:
     return _rounded(sign * m[n - 1][n - 1], den ** n, entries)
 
 
-def _ldl_pivots(xs: Sequence[float], base: int):
-    """LDL^T of the atom Gram matrix over ``base``, on float weights.
+def _ldl(xs: Sequence[Scalar], base: int):
+    """LDL^T of the atom Gram matrix over ``base``, on integers X = x D or on doubles.
 
     Over base b the matrix of the other atoms is U S U^T + 2 diag(x^2) with
     rows u_i = (x_b + x_i, x_i) and S = [[1, 0], [0, -2]], so each step
-    updates a 2x2 state.  Yields (j, pivot, v0, v1) for every atom j != b in
-    index order: the pivot is the squared height of atom j above the earlier
-    kept atoms, and the column of L below it is L_ij = u_i . (v0, v1).  A
-    non-positive pivot is dropped: it yields v0 = v1 = None and leaves the
-    state as it was.  A NaN pivot is kept.
+    updates a 2x2 state T / q.  Returns (steps, (t00, t01, t11, q)): steps
+    lists (j, p, q, w0, w1) for every atom j != base in index order, with
+    W = T u_j; the pivot, the squared height of atom j above the earlier kept
+    atoms, is p / (q D^2), and L_ij = (u_i . W) / p.  Integers take the
+    fraction-free update p T - W W^T, q p, reduced by the gcd of the four;
+    doubles take T - W (W / p) with q = 1.  A zero pivot leaves the state as
+    it was, and so does a negative double one (a zero pivot after rounding);
+    a negative integer pivot, and a NaN one, is kept.
     """
     xb = xs[base]
-    s00, s01, s11 = 1, 0, -2
-    for j, b in enumerate(xs):
-        if j == base:
-            continue
-        a = xb + b
-        w0, w1 = s00 * a + s01 * b, s01 * a + s11 * b
-        pivot = 2 * b * b + a * w0 + b * w1
-        if pivot <= 0:
-            yield j, pivot, None, None
-            continue
-        v0, v1 = w0 / pivot, w1 / pivot
-        s00, s01, s11 = s00 - w0 * v0, s01 - w0 * v1, s11 - w1 * v1
-        yield j, pivot, v0, v1
-
-
-def _exact_ldl(ints: Sequence[int], base: int):
-    """The same LDL^T on integer weights X = x D, on Python integers.
-
-    The 2x2 state is (t00, t01, t11) / q over one shared denominator q,
-    reduced by the gcd of the four after every step; q has the sign of the
-    last kept pivot.  Returns (steps, state): steps lists (j, P, q, w0, w1)
-    for every atom j != base in index order, with W = T u for
-    u = (X_b + X_j, X_j), so the pivot is P / (q D^2) and L_ij = (u_i . W) / P;
-    state is the final (t00, t01, t11, q).  A zero pivot leaves the state as
-    it was; a negative one is kept.
-    """
-    xb = ints[base]
     t00, t01, t11, q = 1, 0, -2, 1
     steps = []
-    for j, b in enumerate(ints):
+    for j, b in enumerate(xs):
         if j == base:
             continue
         a = xb + b
         w0, w1 = t00 * a + t01 * b, t01 * a + t11 * b
         p = 2 * b * b * q + a * w0 + b * w1
         steps.append((j, p, q, w0, w1))
-        if p == 0:
-            continue
-        t00, t01, t11, q = p * t00 - w0 * w0, p * t01 - w0 * w1, p * t11 - w1 * w1, q * p
-        g = math.gcd(t00, t01, t11, q)
-        t00, t01, t11, q = t00 // g, t01 // g, t11 // g, q // g
+        if isinstance(p, float):
+            if p <= 0:
+                continue
+            v0, v1 = w0 / p, w1 / p
+            t00, t01, t11 = t00 - w0 * v0, t01 - w0 * v1, t11 - w1 * v1
+        elif p:
+            t00, t01, t11, q = p * t00 - w0 * w0, p * t01 - w0 * w1, p * t11 - w1 * w1, q * p
+            g = math.gcd(t00, t01, t11, q)
+            t00, t01, t11, q = t00 // g, t01 // g, t11 // g, q // g
     return steps, (t00, t01, t11, q)
 
 
@@ -218,7 +198,7 @@ def det_pivots(xs: Sequence[Scalar]) -> Scalar:
     """Determinant of the atom Gram matrix: the product of its LDL^T pivots.
 
     The base is xs[0]; a Gram determinant is the same over every base and
-    under any symmetric reordering.  The pivots come from :func:`_exact_ldl`
+    under any symmetric reordering.  The pivots come from :func:`_ldl`
     on the weights over their common denominator D (float weights are the
     dyadic rationals they are), and their product telescopes: pivot j is
     lambda_j det(S_(j-1)) / det(S_j) with lambda_j = 2 x_j^2, so it is
@@ -231,7 +211,7 @@ def det_pivots(xs: Sequence[Scalar]) -> Scalar:
     xs = _checked(xs, "pivot product", "weights")
     exact = tuple(map(Fraction, xs))
     ints, den = over_common_denominator(exact)
-    steps, (t00, t01, t11, q) = _exact_ldl(ints, 0)
+    steps, (t00, t01, t11, q) = _ldl(ints, 0)
     if any(p == 0 for _, p, *_ in steps):
         det = det_numeric(gram_matrix(atom_metric(Measure(exact, EXACT, False)), range(len(xs))))
         return _rounded(det.numerator, det.denominator, xs)

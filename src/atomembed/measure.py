@@ -156,14 +156,17 @@ def measure_from_json(obj, mode: str = "auto") -> Measure:
     """Build a Measure from a parsed JSON document.
 
     Schema: {"weights": [numbers or "p/q" strings], "normalized": bool}.
-    Rational strings put the measure in exact mode.  A stated "normalized"
-    flag that contradicts the weights is rejected.
+    Rational strings put the measure in exact mode.  A "normalized" flag
+    that is not true, false or null, or that contradicts the weights, is
+    rejected.
     """
-    if not isinstance(obj, dict) or "weights" not in obj:
+    if not isinstance(obj, dict) or not isinstance(obj.get("weights"), list):
         raise MeasureError('measure document must be an object with a "weights" array')
-    m = validate_measure(obj["weights"], mode=mode)
     stated = obj.get("normalized")
-    if stated is not None and bool(stated) != m.normalized:
+    if stated is not None and not isinstance(stated, bool):
+        raise MeasureError(f'"normalized" must be true, false or null, got {stated!r}')
+    m = validate_measure(obj["weights"], mode=mode)
+    if stated is not None and stated != m.normalized:
         raise MeasureError(
             f"document claims normalized={stated} but the weights sum to {m.total()}"
         )

@@ -6,6 +6,7 @@ import math
 import os
 import tempfile
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +17,8 @@ from atomembed import (
     det_closed_form,
     det_numeric,
     gram_matrix,
+    is_flat,
+    load_measure,
     validate_measure,
 )
 from atomembed.cli import main
@@ -172,6 +175,34 @@ class TestCheckAndClassify:
         assert code == 1
         assert "normalized" in err
 
+    def test_weights_that_are_not_an_array(self, capsys, tmp_path):
+        # a string of digits used to be read as one weight per character
+        path = write_measure(tmp_path, "s.json", "1234")
+        code, out, err = run(capsys, "classify", path)
+        assert code == 1 and out == ""
+        assert err == ('atomembed: invalid input: measure document must be an '
+                       'object with a "weights" array\n')
+
+    @pytest.mark.parametrize("argv", [
+        ["classify", "{m}", "--out", "{bad}"],
+        ["embed", "{m}", "--out", "{bad}"],
+        ["sample", "--k", "4", "--count", "5", "--rows", "{bad}"],
+        ["bisect", "{u6}", "{b5}", "--trace", "{bad}"],
+    ], ids=["classify", "embed", "sample", "bisect"])
+    def test_unwritable_output_path_exits_one(self, capsys, tmp_path, uniform4, binom5,
+                                              argv):
+        bad = str(tmp_path / "missing" / "x.csv")
+        u6 = write_measure(tmp_path, "u6.json", ["1/6"] * 6)
+        argv = [a.format(m=uniform4, b5=binom5, bad=bad, u6=u6) for a in argv]
+        code, _, err = run(capsys, *argv)
+        assert code == 1
+        assert err == f"atomembed: error: {bad}: No such file or directory\n"
+
+    def test_directory_as_measure_exits_one(self, capsys, tmp_path):
+        code, out, err = run(capsys, "classify", str(tmp_path))
+        assert code == 1 and out == ""
+        assert err == f"atomembed: error: {tmp_path}: Is a directory\n"
+
 
 class TestNonFiniteValues:
     @pytest.mark.parametrize("token, shown", [("Infinity", "inf"),
@@ -288,6 +319,20 @@ class TestDetCommand:
         doc = json.loads(out)
         assert doc["sign"] == "negative"
         assert doc["criterion"] == "-4096/25"
+
+    def test_simplex_report_covers_the_simplex_alone(self, capsys, binom5):
+        from atomembed import cli
+
+        with mock.patch.object(cli, "is_flat", wraps=cli.is_flat) as report:
+            code, out, _ = run(capsys, "det", binom5, "--simplex", "3,0,2,1")
+        assert code == 0 and report.call_count == 1
+        # the sorted simplex 0, 1, 2, 3 of binomial(5, 1/2)
+        assert report.call_args.args[0].weights == tuple(map(Fraction, ["1/32", "5/32",
+                                                                         "5/16", "5/16"]))
+        doc = json.loads(out)
+        whole = is_flat(load_measure(binom5)).subset_values
+        assert doc["criterion"] == scalar_to_json(whole[(0, 1, 2, 3)]) == "-4096/25"
+        assert doc["sign"] == whole.sign((0, 1, 2, 3)) == "negative"
 
     def test_boundary_float_is_signed_exactly(self, capsys, tmp_path):
         # inside the float margin the criterion is the exact one of the
@@ -485,13 +530,12 @@ class TestEmbedCommand:
         assert summary["max_residual"] <= 1e-12
         assert len(out.splitlines()) == len(weights) + 1
 
-    @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
-    def test_tolerance_must_be_finite_and_positive(self, capsys, uniform4, tol):
-        # a NaN or infinite tolerance used to switch the residual check off
-        code, out, err = run(capsys, "embed", uniform4, "--tol", tol)
+    def test_tolerance_is_not_an_option(self, capsys, uniform4):
+        # the residual bound is the constant ISOMETRY_TOL: a NaN or infinite
+        # --tol once switched the residual check off
+        code, out, err = run(capsys, "embed", uniform4, "--tol", "1e-3")
         assert code == 1 and out == ""
-        assert err == (f"atomembed: invalid input: isometry tolerance must be finite "
-                       f"and positive, got {float(tol)}\n")
+        assert err == "atomembed: error: unrecognized arguments: --tol 1e-3\n"
 
 
 class TestSweepCommand:

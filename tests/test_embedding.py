@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from atomembed import (
@@ -20,7 +20,8 @@ from atomembed import (
     validate_measure,
     verify_isometry,
 )
-from conftest import rational_measure, zero_criterion_weights
+from atomembed.embedding import ISOMETRY_TOL
+from conftest import flat_floats, rational_measure, zero_criterion_weights
 
 
 class TestEmbed:
@@ -196,6 +197,30 @@ def test_zero_criterion_drops_exactly_one_column(weights):
     m = validate_measure(weights)
     assert reduced_criterion(m.weights) == 0
     assert assert_placed(m, 1e-12).dimension == m.size - 2
+
+
+@settings(max_examples=60, deadline=None)
+@given(flat_floats(60, margin=0.01), st.integers(-1000, 1000))
+def test_float_placement_is_isometric_at_every_binary_scale(weights, e):
+    m = validate_measure([math.ldexp(x, e) for x in weights])
+    result = embed(m)
+    assert result.coordinates.shape == (m.size, is_flat(m).dimension)
+    assert result.max_residual <= 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(flat_floats(60))
+@example([1.0, 1.0, 1.0, (1.0 + 1e-9) / (3.0 + 2.0 * math.sqrt(3.0)),
+          1.0 / (3.0 + math.sqrt(3.0))])
+def test_float_placement_near_the_boundary_is_isometric(weights):
+    # the example's first four atoms are flat by a hair (criterion 1e-9 of
+    # its scale), and so is the whole: the float pivot of atom 2 is tiny, and
+    # the float column of atom 4 below it missed the isometry by 2.3e-7; such
+    # a placement is made again exactly
+    m = validate_measure(weights)
+    result = embed(m)
+    assert result.coordinates.shape == (m.size, is_flat(m).dimension)
+    assert result.max_residual <= ISOMETRY_TOL
 
 
 def test_embed_does_not_call_eigh(monkeypatch):

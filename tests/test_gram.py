@@ -26,9 +26,9 @@ from atomembed import (
     validate_measure,
 )
 from atomembed import gram
-from atomembed.gram import _exact_ldl
+from atomembed.gram import _ldl
 from atomembed.scalars import over_common_denominator
-from conftest import float_tuple, rational_tuple, zero_criterion_weights
+from conftest import flat_floats, float_tuple, rational_tuple, zero_criterion_weights
 from det_oracle import appendix_decomposition, lemma_sum
 from oracle import adjugate, atom_gram_matrix, ldl_pivots, matrix_det_lemma, placed_atoms
 
@@ -432,7 +432,7 @@ def test_integer_recurrence_equals_the_fraction_oracle(weights):
     xs = m.weights
     ints, den = over_common_denominator(xs)
     for base in {0, xs.index(min(xs))}:
-        steps, _ = _exact_ldl(ints, base)
+        steps, _ = _ldl(ints, base)
         oracle = list(ldl_pivots(xs, base, signed=True))
         assert [step[0] for step in steps] == [j for j, *_ in oracle]
         for pos, ((_, p, q, w0, w1), (_, pivot, v0, v1)) in enumerate(zip(steps, oracle)):
@@ -446,6 +446,30 @@ def test_integer_recurrence_equals_the_fraction_oracle(weights):
     assert det == det_closed_form(xs) and type(det) is Fraction
     if is_flat(m).flat:
         assert embed(m).coordinates.tobytes() == placed_atoms(xs).tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(flat_floats(30, margin=0.01))
+def test_float_pivots_track_the_exact_pivots_of_the_doubles(xs):
+    # one recurrence over the lightest atom, as embed runs it: on the doubles,
+    # and on the same doubles as integers over their common denominator.
+    # The float error grows like 1/margin towards the boundary of the flat
+    # cone, where embed places the doubles again exactly
+    base = xs.index(min(xs))
+    ints, den = over_common_denominator([Fraction(x) for x in xs])
+    exact = [float(Fraction(p, q * den * den)) for _, p, q, _, _ in _ldl(ints, base)[0]]
+    floats = [p for _, p, *_ in _ldl(xs, base)[0]]
+    assert len(floats) == len(exact)
+    assert all(abs(f - e) <= 1e-12 * max(exact) for f, e in zip(floats, exact))
+
+
+def test_a_negative_double_pivot_leaves_the_state():
+    # flat by +4.7e-15 exactly, but the last float pivot over the lightest
+    # atom is -1.8e-15: a zero pivot after rounding, which updates nothing
+    xs = [1.0, 1.0, 1.0, 1.0 / (3.0 + 2.0 * math.sqrt(3.0))]
+    steps, state = _ldl(xs, 3)
+    assert -2e-15 < steps[-1][1] < 0
+    assert state == _ldl([1.0, 1.0, xs[3]], 2)[1]
 
 
 class TestDetRoutes:

@@ -211,3 +211,24 @@ class TestJson:
     def test_unparseable_weight_rejected(self):
         with pytest.raises(ValueError):
             measure_from_json({"weights": ["one half", "1/2"]})
+
+    @pytest.mark.parametrize("doc, field", [
+        ({"weights": "1234"}, "weights"),
+        ({"weights": 5}, "weights"),
+        ({"weights": True}, "weights"),
+        ({"weights": {"a": 1}}, "weights"),
+        ({"weights": None}, "weights"),
+        ({"weights": [1, 1], "normalized": "false"}, "normalized"),
+        ({"weights": ["1/2", "1/2"], "normalized": 1}, "normalized"),
+        ({"weights": [1, 1], "normalized": []}, "normalized"),
+    ], ids=["string", "number", "bool", "object", "null", "normalized_string",
+            "normalized_number", "normalized_array"])
+    def test_malformed_field_rejected(self, doc, field):
+        # "1234" used to be read as four weights, "false" as true
+        with pytest.raises(MeasureError, match=f'"{field}"'):
+            measure_from_json(doc)
+
+    @pytest.mark.parametrize("stated", [False, None])
+    def test_normalized_false_or_null_accepted(self, stated):
+        m = measure_from_json({"weights": [1, 1], "normalized": stated})
+        assert m.weights == (1, 1) and not m.normalized
