@@ -21,7 +21,6 @@ from .embedding import EmbeddingConsistencyError, NotFlatError, embed
 from .explorer import (
     NoCrossingError,
     bisect_boundary,
-    mixture,
     sample_simplex,
     sweep,
 )
@@ -86,8 +85,6 @@ def _load(path, args):
         except json.JSONDecodeError as exc:
             raise MeasureError(f"malformed JSON on stdin: {exc}") from exc
         return measure_from_json(obj, mode=_mode_of(args))
-    if not os.path.exists(path):
-        raise CliError(f"no such file: {path}")
     return load_measure(path, mode=_mode_of(args))
 
 
@@ -223,11 +220,9 @@ def _family_from_args(args) -> FamilySpec:
             raise CliError(
                 "family hypergeometric needs --population, --successes, --draws")
         return hypergeometric_family(args.population, args.successes, args.draws)
-    if kind == "custom":
-        if not args.weights:
-            raise CliError("family custom needs --weights")
-        return custom_family([_parse_cli_scalar(w) for w in args.weights.split(",")])
-    raise CliError(f"unknown family kind {kind!r}")
+    if not args.weights:
+        raise CliError("family custom needs --weights")
+    return custom_family([_parse_cli_scalar(w) for w in args.weights.split(",")])
 
 
 def _parse_cli_scalar(text: str):
@@ -336,10 +331,7 @@ def _cmd_sample(args) -> int:
 def _cmd_bisect(args) -> int:
     m0 = _load(args.low, args)
     m1 = _load(args.high, args)
-    result = bisect_boundary(lambda t: mixture(m0, m1, t),
-                             Fraction(0), Fraction(1),
-                             tol=args.tol, max_iter=args.max_iter,
-                             scan_steps=args.scan)
+    result = bisect_boundary(m0, m1, tol=args.tol, scan_steps=args.scan)
     if args.trace:
         _write_csv(
             [
@@ -447,7 +439,6 @@ def build_parser() -> _Parser:
     p.add_argument("low", help="measure JSON at t=0")
     p.add_argument("high", help="measure JSON at t=1")
     p.add_argument("--tol", type=float, default=1e-6)
-    p.add_argument("--max-iter", type=int, default=200)
     p.add_argument("--scan", type=int, default=0,
                    help="coarse pre-scan steps to detect multiple flips")
     p.add_argument("--trace", help="write the per-iteration CSV here")

@@ -9,10 +9,14 @@ above the earlier ones.  Exact weights run it on Python integers over their
 common denominator D: each height and entry of L is one integer true
 division, rounded once, and since |p_i| = x_b + x_i <= d(i, j) the
 coordinates are within a few ulps per pair of the distances (X_i + X_j) / D.
-Float weights run it on doubles, whose error grows as a leading block of the
-Gram matrix nears singularity, at the boundary of the flat region; a float
-placement that miscounts the dimension or misses ISOMETRY_TOL is placed
-again exactly.
+
+The atoms go lightest first, so z = 1/x descends, and the criterion
+C(s) = (sum z)^2 - (s-2) sum z^2 of the first s of m atoms is concave in s;
+with C(0) = 0, C(1) = 2 z_1^2 and C(m) >= 0 it is at least
+2 z_1^2 (m-s)/(m-1).  So no leading block but the whole nears singularity,
+and float weights run the recurrence on doubles up to the boundary of the
+flat region.  A float placement that miscounts the dimension or misses
+ISOMETRY_TOL is placed again exactly.
 
 Float weights are scaled by a power of two into the middle of the double
 range, and the coordinates back: the recurrence is homogeneous, so no
@@ -82,25 +86,27 @@ def verify_isometry(coords: np.ndarray, d: DistanceMatrix) -> float:
 
 
 def _place_atoms(weights, dimension):
-    """(base, coordinates, residual) by ``gram._ldl`` over the lightest atom.
+    """(base, coordinates, residual) by ``gram._ldl`` on the atoms lightest first.
 
-    Float weights run it on themselves (xs = weights, den = 1), exact weights
-    on the integers xs = weights * den.  Column j has the height
-    sqrt(p / (q den^2)) and L_ij = (X_b w0 + X_i (w0 + w1)) / p times it.  A
-    negative integer pivot contradicts flatness (the Gram matrix is positive
-    semidefinite).  The residual is :func:`verify_isometry` against the
-    distances of xs / den: inf when the columns miscount the dimension, NaN
-    when a coordinate is not finite.
+    The base is the lightest atom, ties go by index, and each row lands at
+    its atom's index.  Float weights run it on themselves (xs = weights,
+    den = 1), exact weights on the integers xs = weights * den.  Column j has
+    the height sqrt(p / (q den^2)) and L_ij = (X_b w0 + X_i (w0 + w1)) / p
+    times it.  A negative integer pivot contradicts flatness (the Gram matrix
+    is positive semidefinite).  The residual is :func:`verify_isometry`
+    against the distances of xs / den: inf when the columns miscount the
+    dimension, NaN when a coordinate is not finite.
     """
     import numpy as np
 
-    base = weights.index(min(weights))
+    order = sorted(range(len(weights)), key=weights.__getitem__)
+    base = order[0]
     floats = isinstance(weights[base], float)
     xs, den = (weights, 1) if floats else over_common_denominator(weights)
-    order = [j for j in range(len(xs)) if j != base]
-    coords = np.zeros((len(xs), len(order)))
+    coords = np.zeros((len(xs), len(xs) - 1))
     col = 0
-    for pos, (j, p, q, w0, w1) in enumerate(_ldl(xs, base)[0]):
+    for pos, (p, q, w0, w1) in enumerate(_ldl([xs[i] for i in order])[0], 1):
+        j = order[pos]
         if p < 0 and not floats:
             raise EmbeddingConsistencyError(f"negative pivot at atom {j} of a flat measure")
         if p <= 0:  # a zero pivot for a flat measure, with a zero column

@@ -1,5 +1,6 @@
 """Empirical mapping of the embeddable region inside the probability simplex:
-parameter sweeps, boundary bisection along paths, Monte Carlo sampling.
+parameter sweeps, exact bisection of the mixture of two measures, Monte
+Carlo sampling.
 
 Sampling is reproducible by construction: each sample index derives its own
 generator from the master seed, so the stream a sample sees is independent
@@ -13,7 +14,7 @@ from __future__ import annotations
 import math
 import os
 from fractions import Fraction
-from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .flatness import is_flat
 from .measure import Measure, MeasureError, validate_measure
@@ -82,64 +83,43 @@ def mixture(m0: Measure, m1: Measure, t: Scalar) -> Measure:
     return validate_measure(weights)
 
 
-def bisect_boundary(measure_at: Callable[[Scalar], Measure], lo, hi,
-                    tol: float = 1e-6, max_iter: int = 200,
+def bisect_boundary(m0: Measure, m1: Measure, tol: float = 1e-6,
                     scan_steps: int = 0) -> BisectionResult:
-    """Bracket a verdict flip along a one-parameter path of measures.
+    """Bracket a verdict flip on the mixture path (1-t) m0 + t m1, t in [0, 1].
 
-    ``measure_at`` maps a parameter value to a Measure.  The endpoints must
-    classify differently, otherwise NoCrossingError.  With rational endpoints
-    the bracket stays exact (midpoints are dyadic combinations).  A positive
-    ``scan_steps`` first samples the path uniformly; additional sign changes
-    are reported in ``extra_brackets`` and the first one is refined.  A
-    tolerance that is not finite and positive, or a negative ``max_iter`` or
-    ``scan_steps``, is a ValueError.
+    The path is classified at ``max(scan_steps, 1)`` equal steps, endpoints
+    included; they must classify differently, otherwise NoCrossingError.
+    The first sign change is refined by exact halving (dyadic Fractions)
+    until it is no wider than ``tol``, which takes at most 1074 steps for a
+    positive double; further sign changes are reported in
+    ``extra_brackets``.  A tolerance that is not finite and positive, or a
+    negative ``scan_steps``, is a ValueError.
     """
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tolerance must be finite and positive, got {tol}")
-    if max_iter < 0:
-        raise ValueError(f"iteration limit must be nonnegative, got {max_iter}")
     if scan_steps < 0:
         raise ValueError(f"scan steps must be nonnegative, got {scan_steps}")
-    lo = Fraction(lo) if not isinstance(lo, float) else lo
-    hi = Fraction(hi) if not isinstance(hi, float) else hi
-    if not lo < hi:
-        raise ValueError(f"bisection interval is empty: [{lo}, {hi}]")
-    v_lo, v_hi = is_flat(measure_at(lo)).letter, is_flat(measure_at(hi)).letter
+    steps = max(scan_steps, 1)
+    grid = [Fraction(i, steps) for i in range(steps + 1)]
+    letters = [is_flat(mixture(m0, m1, t)).letter for t in grid]
+    v_lo, v_hi = letters[0], letters[-1]
     if v_lo == v_hi:
         raise NoCrossingError(
             f"both endpoints classify as {v_lo}; nothing to bracket")
-
-    extra: List[Tuple[Scalar, Scalar]] = []
-    if scan_steps > 1:
-        pts = [lo + (hi - lo) * i / scan_steps for i in range(scan_steps + 1)]
-        letters = [v_lo] + [is_flat(measure_at(p)).letter for p in pts[1:-1]] + [v_hi]
-        flips = [
-            (pts[i], pts[i + 1], letters[i], letters[i + 1])
-            for i in range(len(pts) - 1)
-            if letters[i] != letters[i + 1]
-        ]
-        lo, hi, v_lo, v_hi = flips[0]
-        extra = [(a, b) for a, b, _, _ in flips[1:]]
-
-    iterations = 0
+    (lo, hi), *extra = [(a, b) for a, b, x, y in zip(grid, grid[1:], letters, letters[1:])
+                        if x != y]
     trace = []
-    while hi - lo > tol and iterations < max_iter:
+    while hi - lo > tol:
         mid = (lo + hi) / 2
-        letter = is_flat(measure_at(mid)).letter
-        trace.append((iterations, lo, hi, mid, letter))
+        letter = is_flat(mixture(m0, m1, mid)).letter
+        trace.append((len(trace), lo, hi, mid, letter))
         if letter == v_lo:
             lo = mid
         else:
             hi = mid
-        iterations += 1
-    if hi - lo > tol:
-        raise ValueError(
-            f"bracket width {float(hi - lo)} still above tol={tol} after "
-            f"{max_iter} iterations")
     return BisectionResult(boundary=(lo + hi) / 2, lower=lo, upper=hi,
                            verdict_low=v_lo, verdict_high=v_hi,
-                           iterations=iterations,
+                           iterations=len(trace),
                            extra_brackets=tuple(extra),
                            trace=tuple(trace))
 

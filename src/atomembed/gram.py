@@ -158,13 +158,13 @@ def det_numeric(matrix) -> Scalar:
     return _rounded(sign * m[n - 1][n - 1], den ** n, entries)
 
 
-def _ldl(xs: Sequence[Scalar], base: int):
-    """LDL^T of the atom Gram matrix over ``base``, on integers X = x D or on doubles.
+def _ldl(xs: Sequence[Scalar]):
+    """LDL^T of the atom Gram matrix over xs[0], on integers X = x D or on doubles.
 
-    Over base b the matrix of the other atoms is U S U^T + 2 diag(x^2) with
-    rows u_i = (x_b + x_i, x_i) and S = [[1, 0], [0, -2]], so each step
+    Over base b = xs[0] the matrix of the other atoms is U S U^T + 2 diag(x^2)
+    with rows u_i = (x_b + x_i, x_i) and S = [[1, 0], [0, -2]], so each step
     updates a 2x2 state T / q.  Returns (steps, (t00, t01, t11, q)): steps
-    lists (j, p, q, w0, w1) for every atom j != base in index order, with
+    lists (p, q, w0, w1) for the atoms xs[1:] in the order given, with
     W = T u_j; the pivot, the squared height of atom j above the earlier kept
     atoms, is p / (q D^2), and L_ij = (u_i . W) / p.  Integers take the
     fraction-free update p T - W W^T, q p, reduced by the gcd of the four;
@@ -172,16 +172,14 @@ def _ldl(xs: Sequence[Scalar], base: int):
     it was, and so does a negative double one (a zero pivot after rounding);
     a negative integer pivot, and a NaN one, is kept.
     """
-    xb = xs[base]
+    xb = xs[0]
     t00, t01, t11, q = 1, 0, -2, 1
     steps = []
-    for j, b in enumerate(xs):
-        if j == base:
-            continue
+    for b in xs[1:]:
         a = xb + b
         w0, w1 = t00 * a + t01 * b, t01 * a + t11 * b
         p = 2 * b * b * q + a * w0 + b * w1
-        steps.append((j, p, q, w0, w1))
+        steps.append((p, q, w0, w1))
         if isinstance(p, float):
             if p <= 0:
                 continue
@@ -211,8 +209,8 @@ def det_pivots(xs: Sequence[Scalar]) -> Scalar:
     xs = _checked(xs, "pivot product", "weights")
     exact = tuple(map(Fraction, xs))
     ints, den = over_common_denominator(exact)
-    steps, (t00, t01, t11, q) = _ldl(ints, 0)
-    if any(p == 0 for _, p, *_ in steps):
+    steps, (t00, t01, t11, q) = _ldl(ints)
+    if any(p == 0 for p, *_ in steps):
         det = det_numeric(gram_matrix(atom_metric(Measure(exact, EXACT, False)), range(len(xs))))
         return _rounded(det.numerator, det.denominator, xs)
     n = len(steps)

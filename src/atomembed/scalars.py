@@ -67,17 +67,7 @@ def infer_mode(values: Iterable[Scalar]) -> str:
 
 def coerce(values, mode: str):
     """Return the values as a tuple in the requested arithmetic mode."""
-    if mode == FLOAT:
-        return tuple(float(v) for v in values)
-    out = []
-    for v in values:
-        if isinstance(v, float):
-            raise ModeConflictError(
-                f"exact mode requested but {v!r} is a float; "
-                'write rationals as "p/q" strings'
-            )
-        out.append(Fraction(v))
-    return tuple(out)
+    return tuple(map(float if mode == FLOAT else Fraction, values))
 
 
 def over_common_denominator(values) -> Tuple[Tuple[int, ...], int]:

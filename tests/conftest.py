@@ -43,13 +43,13 @@ def zero_criterion_weights(z1, z2, excess):
 
 
 @st.composite
-def flat_floats(draw, max_size, margin=0.0):
+def flat_floats(draw, max_size, gap=st.floats(0.0, 1.0)):
     """4 to max_size flat float weights in [0.5, 2].
 
     Random reciprocals z in [0.5, 2] are pulled towards their mean zbar by
     a factor t.  The criterion of the pulled values is
-    2 n zbar^2 - (n-2) t^2 sum (z - zbar)^2, and t is drawn so that it is at
-    least ``margin`` times 2 n zbar^2: with no margin, measures up to the
+    2 n zbar^2 - (n-2) t^2 sum (z - zbar)^2, and t is drawn so that it is
+    at least ``gap`` times 2 n zbar^2: with a gap of 0, measures up to the
     boundary of the flat cone are drawn.  Measures that rounding leaves
     outside the cone are rejected.
     """
@@ -57,7 +57,7 @@ def flat_floats(draw, max_size, margin=0.0):
     zs = draw(st.lists(st.floats(0.5, 2.0), min_size=n, max_size=n))
     zbar = sum(zs) / n
     spread = sum((z - zbar) ** 2 for z in zs)
-    reach = draw(st.floats(0.0, 1.0 - margin))
+    reach = 1.0 - draw(gap)
     t = min(1.0, math.sqrt(reach * 2 * n * zbar ** 2 / ((n - 2) * spread))) if spread else 0.0
     xs = [1 / (zbar + t * (z - zbar)) for z in zs]
     assume(is_flat(validate_measure(xs)).flat)

@@ -191,23 +191,22 @@ def matrix_det_lemma(matrix, u: Sequence[Scalar], v: Sequence[Scalar]) -> Scalar
     return det_numeric(rows) + correction
 
 
-def ldl_pivots(xs: Sequence[Scalar], base: int, signed: bool):
-    """LDL^T of the atom Gram matrix over ``base``, in the weights' own arithmetic.
+def ldl_pivots(xs: Sequence[Scalar], signed: bool):
+    """LDL^T of the atom Gram matrix over xs[0], in the weights' own arithmetic.
 
-    Over base b the matrix of the other atoms is U S U^T + 2 diag(x^2) with
-    rows u_i = (x_b + x_i, x_i) and S = [[1, 0], [0, -2]], so each step
-    updates a 2x2 state.  Yields (j, pivot, v0, v1) for every atom j != b in
-    index order: the pivot is the squared height of atom j above the earlier
-    kept atoms, and the column of L below it is L_ij = u_i . (v0, v1).  A zero
-    pivot, or a negative one unless ``signed``, is dropped: it yields
+    Over base b = xs[0] the matrix of the other atoms is U S U^T + 2 diag(x^2)
+    with rows u_i = (x_b + x_i, x_i) and S = [[1, 0], [0, -2]], so each step
+    updates a 2x2 state.  Yields (j, pivot, v0, v1) for every atom j >= 1 in
+    the order given: the pivot is the squared height of atom j above the
+    earlier kept atoms, and the column of L below it is L_ij = u_i . (v0, v1).
+    A zero pivot, or a negative one unless ``signed``, is dropped: it yields
     v0 = v1 = None and leaves the state as it was.  Over Fractions this is
     the reference for the package's integer recurrence.
     """
-    xb = xs[base]
+    xb = xs[0]
     s00, s01, s11 = 1, 0, -2
-    for j, b in enumerate(xs):
-        if j == base:
-            continue
+    for j in range(1, len(xs)):
+        b = xs[j]
         a = xb + b
         w0, w1 = s00 * a + s01 * b, s01 * a + s11 * b
         pivot = 2 * b * b + a * w0 + b * w1
@@ -220,19 +219,20 @@ def ldl_pivots(xs: Sequence[Scalar], base: int, signed: bool):
 
 
 def placed_atoms(xs: Sequence[Fraction]) -> np.ndarray:
-    """Coordinates of exact weights from :func:`ldl_pivots` over the lightest
-    atom: each height sqrt(pivot) and each L_ij rounded once from its Fraction."""
-    base = xs.index(min(xs))
-    order = [j for j in range(len(xs)) if j != base]
-    coords = np.zeros((len(xs), len(order)))
+    """Coordinates of exact weights from :func:`ldl_pivots` on the atoms
+    lightest first (ties by index), each row at its atom's index: each
+    height sqrt(pivot) and each L_ij rounded once from its Fraction."""
+    order = sorted(range(len(xs)), key=xs.__getitem__)
+    ys = [xs[i] for i in order]
+    coords = np.zeros((len(xs), len(xs) - 1))
     col = 0
-    for pos, (j, pivot, v0, v1) in enumerate(ldl_pivots(xs, base, signed=False)):
+    for j, pivot, v0, v1 in ldl_pivots(ys, signed=False):
         if v0 is None:
             continue
         height = math.sqrt(pivot)
-        coords[j, col] = height
-        for i in order[pos + 1:]:
-            coords[i, col] = float((xs[base] + xs[i]) * v0 + xs[i] * v1) * height
+        coords[order[j], col] = height
+        for i in range(j + 1, len(ys)):
+            coords[order[i], col] = float((ys[0] + ys[i]) * v0 + ys[i] * v1) * height
         col += 1
     return coords[:, :col]
 

@@ -27,7 +27,6 @@ from atomembed import (
     embed,
     gram_matrix,
     is_flat,
-    mixture,
     realize,
     reduced_criterion,
     sample_simplex,
@@ -331,9 +330,8 @@ def test_c7_sampling_reproducible_and_both_classes():
 def test_c7_mixture_bisection_brackets_the_flip():
     m0 = realize(uniform_family(6))
     m1 = binom5()
-    path = lambda t: mixture(m0, m1, t)
-    r1 = bisect_boundary(path, Fraction(0), Fraction(1), tol=1e-6)
-    r2 = bisect_boundary(path, Fraction(0), Fraction(1), tol=1e-6)
+    r1 = bisect_boundary(m0, m1, tol=1e-6)
+    r2 = bisect_boundary(m0, m1, tol=1e-6)
     ok = (
         r1 == r2
         and r1.verdict_low == "E"

@@ -74,6 +74,15 @@ class TestFamilyCommand:
         assert code == 1
         assert "needs" in err
 
+    def test_custom_float_weights_with_normalize(self, capsys):
+        # normalized float weights are summed by numpy's pairwise sum
+        code, out, _ = run(capsys, "family", "custom",
+                           "--weights", "0.1,0.2,0.3", "--normalize")
+        assert code == 0
+        assert json.loads(out) == {
+            "weights": [0.16666666666666666, 0.3333333333333333, 0.4999999999999999],
+            "normalized": True}
+
     @pytest.mark.parametrize("argv, number", [
         (["family", "binomial", "--n", "5", "--p", "1/0"], "1/0"),
         (["family", "custom", "--weights", "1,2,3/0"], "3/0"),
@@ -165,9 +174,9 @@ class TestCheckAndClassify:
         assert "malformed JSON" in err
 
     def test_missing_file(self, capsys):
-        code, _, err = run(capsys, "check", "/nonexistent/measure.json")
-        assert code == 1
-        assert "no such file" in err
+        code, out, err = run(capsys, "check", "/nonexistent/measure.json")
+        assert code == 1 and out == ""
+        assert err == "atomembed: error: /nonexistent/measure.json: No such file or directory\n"
 
     def test_inconsistent_normalized_flag(self, capsys, tmp_path):
         path = write_measure(tmp_path, "n.json", [1, 1], normalized=True)
@@ -619,6 +628,12 @@ class TestSampleCommand:
         assert code == 1
         assert "count" in err
 
+    def test_seed_from_environment_must_be_an_integer(self, capsys, monkeypatch):
+        monkeypatch.setenv("ATOMEMBED_SEED", "abc")
+        code, out, err = run(capsys, "sample", "--k", "4", "--count", "5")
+        assert (code, out) == (1, "")
+        assert err == "atomembed: error: ATOMEMBED_SEED must be an integer, got 'abc'\n"
+
 
 class TestBisectCommand:
     def test_uniform_to_binomial(self, capsys, tmp_path, binom5):
@@ -652,12 +667,10 @@ class TestBisectCommand:
                        f"positive, got {float(tol)}\n")
 
     @pytest.mark.parametrize("flag, message", [
-        ("--max-iter", "iteration limit must be nonnegative, got -1"),
         ("--scan", "scan steps must be nonnegative, got -1"),
     ])
     def test_negative_counts_are_refused(self, capsys, tmp_path, binom5, flag, message):
-        # -1 iterations used to fail as an unreached tolerance; a negative
-        # scan used to run as no scan at all
+        # a negative scan used to run as no scan at all
         u6 = write_measure(tmp_path, "u6.json", ["1/6"] * 6)
         code, out, err = run(capsys, "bisect", u6, binom5, flag, "-1")
         assert code == 1 and out == ""
@@ -665,12 +678,54 @@ class TestBisectCommand:
 
     def test_zero_counts_keep_their_meaning(self, capsys, tmp_path, binom5):
         u6 = write_measure(tmp_path, "u6.json", ["1/6"] * 6)
-        code, out, err = run(capsys, "bisect", u6, binom5, "--max-iter", "0")
-        assert code == 1 and out == ""
-        assert err == ("atomembed: invalid input: bracket width 1.0 still above "
-                       "tol=1e-06 after 0 iterations\n")
         assert run(capsys, "bisect", u6, binom5, "--scan", "0") == run(capsys, "bisect",
                                                                      u6, binom5)
+
+    @pytest.mark.parametrize("mode", [[], ["--float"]], ids=["exact", "float"])
+    def test_smallest_positive_tolerance_ends(self, capsys, tmp_path, binom5, mode):
+        # exact halving needs no iteration limit: 2^-1074 is the smallest
+        # positive double
+        u6 = write_measure(tmp_path, "u6.json", ["1/6"] * 6)
+        code, out, _ = run(capsys, "bisect", u6, binom5, "--tol", "5e-324", *mode)
+        doc = json.loads(out)
+        assert code == 0
+        assert (doc["iterations"], doc["verdict_low"], doc["verdict_high"]) == (1074, "E", "N")
+        assert Fraction(doc["upper"]) - Fraction(doc["lower"]) == Fraction(1, 2 ** 1074)
+
+    def test_iteration_limit_is_not_an_option(self, capsys, tmp_path, binom5):
+        u6 = write_measure(tmp_path, "u6.json", ["1/6"] * 6)
+        code, out, err = run(capsys, "bisect", u6, binom5, "--max-iter", "5")
+        assert code == 1 and out == ""
+        assert err == "atomembed: error: unrecognized arguments: --max-iter 5\n"
+
+
+class TestRefusals:
+    @pytest.mark.parametrize("argv, stdin, message", [
+        (["classify", "-"], "not json",
+         "invalid input: malformed JSON on stdin: Expecting value: line 1 column 1 (char 0)"),
+        (["family", "uniform"], None, "error: family uniform needs --atoms"),
+        (["family", "hypergeometric", "--population", "10", "--successes", "3"], None,
+         "error: family hypergeometric needs --population, --successes, --draws"),
+        (["family", "custom"], None, "error: family custom needs --weights"),
+        (["sample", "--k", "4", "--count", "5", "--jobs", "0"], None,
+         "invalid input: jobs must be >= 1, got 0"),
+        (["sweep", "uniform", "--atoms", "4", "--param", "atoms", "--start", "4",
+          "--stop", "6", "--steps", "0"], None,
+         "invalid input: grid needs at least one step, got 0"),
+        (["classify", "-"], '{"weights": [1, true, 2]}', "invalid input: not a number: True"),
+        (["classify", "-"], '{"weights": [1, [2], 2]}',
+         "invalid input: unsupported scalar type: list"),
+        (["classify", "-"], '{"weights": [0.25, 0.25, 0.25, 0.3], "normalized": true}',
+         "invalid input: document claims normalized=True but the weights sum to 1.05"),
+    ], ids=["stdin_json", "uniform_atoms", "hypergeometric_draws", "custom_weights",
+            "jobs_zero", "sweep_steps_zero", "weight_true", "weight_list",
+            "float_normalized"])
+    def test_refusal_exits_one(self, capsys, monkeypatch, argv, stdin, message):
+        if stdin is not None:
+            monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err == f"atomembed: {message}\n"
 
 
 class TestUsage:

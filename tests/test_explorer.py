@@ -89,14 +89,11 @@ class TestMixture:
 
 
 class TestBisection:
-    def make_path(self):
-        m0 = realize(uniform_family(6))
-        m1 = realize(binomial_family(5, HALF))
-        return lambda t: mixture(m0, m1, t)
+    def make_ends(self):
+        return realize(uniform_family(6)), realize(binomial_family(5, HALF))
 
     def test_uniform_to_binomial_crossing(self):
-        result = bisect_boundary(self.make_path(), Fraction(0), Fraction(1),
-                                 tol=1e-6)
+        result = bisect_boundary(*self.make_ends(), tol=1e-6)
         assert result.verdict_low == "E"
         assert result.verdict_high == "N"
         assert 0 < result.lower < result.upper < 1
@@ -105,38 +102,31 @@ class TestBisection:
         assert abs(float(result.boundary) - 0.844821) < 1e-4
 
     def test_bisection_is_deterministic(self):
-        a = bisect_boundary(self.make_path(), Fraction(0), Fraction(1), tol=1e-6)
-        b = bisect_boundary(self.make_path(), Fraction(0), Fraction(1), tol=1e-6)
+        a = bisect_boundary(*self.make_ends(), tol=1e-6)
+        b = bisect_boundary(*self.make_ends(), tol=1e-6)
         assert a == b
 
     def test_exact_brackets_are_dyadic(self):
-        result = bisect_boundary(self.make_path(), Fraction(0), Fraction(1),
-                                 tol=1e-6)
+        result = bisect_boundary(*self.make_ends(), tol=1e-6)
         assert isinstance(result.lower, Fraction)
         assert result.lower.denominator & (result.lower.denominator - 1) == 0
 
     def test_no_crossing(self):
         m = realize(uniform_family(6))
         with pytest.raises(NoCrossingError):
-            bisect_boundary(lambda t: m, Fraction(0), Fraction(1))
+            bisect_boundary(m, m)
 
     def test_scan_refines_first_flip(self):
-        result = bisect_boundary(self.make_path(), Fraction(0), Fraction(1),
-                                 tol=1e-6, scan_steps=8)
+        result = bisect_boundary(*self.make_ends(), tol=1e-6, scan_steps=8)
         assert abs(float(result.boundary) - 0.844821) < 1e-4
         assert result.extra_brackets == ()
-
-    def test_empty_interval(self):
-        with pytest.raises(ValueError, match="empty"):
-            bisect_boundary(self.make_path(), Fraction(1), Fraction(0))
 
     def test_float_midpoints_inside_the_margin_are_decided(self):
         # below a width of about 1e-9 the float midpoints' full-set criterion
         # lies inside the margin; each is decided on its doubles as Fractions
         m0 = validate_measure([0.15, 0.17, 0.16, 0.18, 0.17, 0.17])
         m1 = validate_measure([1 / 32, 5 / 32, 5 / 16, 5 / 16, 5 / 32, 1 / 32])
-        result = bisect_boundary(lambda t: mixture(m0, m1, t), Fraction(0), Fraction(1),
-                                 tol=1e-12)
+        result = bisect_boundary(m0, m1, tol=1e-12)
         assert (result.verdict_low, result.verdict_high, result.iterations) == ("E", "N", 40)
         for _, _, _, mid, letter in result.trace:
             doubles = [Fraction(w) for w in mixture(m0, m1, mid).weights]

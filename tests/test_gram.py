@@ -431,17 +431,19 @@ def test_integer_recurrence_equals_the_fraction_oracle(weights):
     m = validate_measure(weights)
     xs = m.weights
     ints, den = over_common_denominator(xs)
-    for base in {0, xs.index(min(xs))}:
-        steps, _ = _ldl(ints, base)
-        oracle = list(ldl_pivots(xs, base, signed=True))
-        assert [step[0] for step in steps] == [j for j, *_ in oracle]
-        for pos, ((_, p, q, w0, w1), (_, pivot, v0, v1)) in enumerate(zip(steps, oracle)):
+    # index order (det_pivots) and lightest first (embed)
+    for order in (range(len(xs)), sorted(range(len(xs)), key=xs.__getitem__)):
+        ys, ns = [xs[i] for i in order], [ints[i] for i in order]
+        steps, _ = _ldl(ns)
+        oracle = list(ldl_pivots(ys, signed=True))
+        assert len(steps) == len(oracle) == len(xs) - 1
+        for (p, q, w0, w1), (j, pivot, v0, v1) in zip(steps, oracle):
             assert Fraction(p, q * den * den) == pivot
             assert (p == 0) == (v0 is None)
             if p:  # the column of L below the pivot
-                for i, *_ in oracle[pos + 1:]:
-                    u0, u1 = ints[base] + ints[i], ints[i]
-                    assert Fraction(u0 * w0 + u1 * w1, p) == (xs[base] + xs[i]) * v0 + xs[i] * v1
+                for i in range(j + 1, len(ys)):
+                    u0, u1 = ns[0] + ns[i], ns[i]
+                    assert Fraction(u0 * w0 + u1 * w1, p) == (ys[0] + ys[i]) * v0 + ys[i] * v1
     det = det_pivots(xs)
     assert det == det_closed_form(xs) and type(det) is Fraction
     if is_flat(m).flat:
@@ -449,16 +451,15 @@ def test_integer_recurrence_equals_the_fraction_oracle(weights):
 
 
 @settings(max_examples=150, deadline=None)
-@given(flat_floats(30, margin=0.01))
+@given(flat_floats(30))
 def test_float_pivots_track_the_exact_pivots_of_the_doubles(xs):
-    # one recurrence over the lightest atom, as embed runs it: on the doubles,
-    # and on the same doubles as integers over their common denominator.
-    # The float error grows like 1/margin towards the boundary of the flat
-    # cone, where embed places the doubles again exactly
-    base = xs.index(min(xs))
-    ints, den = over_common_denominator([Fraction(x) for x in xs])
-    exact = [float(Fraction(p, q * den * den)) for _, p, q, _, _ in _ldl(ints, base)[0]]
-    floats = [p for _, p, *_ in _ldl(xs, base)[0]]
+    # one recurrence on the atoms lightest first, as embed runs it: on the
+    # doubles, and on the same doubles as integers over their common
+    # denominator, up to the boundary of the flat cone
+    ys = sorted(xs)
+    ints, den = over_common_denominator([Fraction(y) for y in ys])
+    exact = [float(Fraction(p, q * den * den)) for p, q, _, _ in _ldl(ints)[0]]
+    floats = [p for p, *_ in _ldl(ys)[0]]
     assert len(floats) == len(exact)
     assert all(abs(f - e) <= 1e-12 * max(exact) for f, e in zip(floats, exact))
 
@@ -466,10 +467,10 @@ def test_float_pivots_track_the_exact_pivots_of_the_doubles(xs):
 def test_a_negative_double_pivot_leaves_the_state():
     # flat by +4.7e-15 exactly, but the last float pivot over the lightest
     # atom is -1.8e-15: a zero pivot after rounding, which updates nothing
-    xs = [1.0, 1.0, 1.0, 1.0 / (3.0 + 2.0 * math.sqrt(3.0))]
-    steps, state = _ldl(xs, 3)
-    assert -2e-15 < steps[-1][1] < 0
-    assert state == _ldl([1.0, 1.0, xs[3]], 2)[1]
+    xs = [1.0 / (3.0 + 2.0 * math.sqrt(3.0)), 1.0, 1.0, 1.0]
+    steps, state = _ldl(xs)
+    assert -2e-15 < steps[-1][0] < 0
+    assert state == _ldl(xs[:3])[1]
 
 
 class TestDetRoutes:
