@@ -3,14 +3,17 @@ parameter sweeps, exact bisection of the mixture of two measures, Monte
 Carlo sampling.
 
 Sampling is reproducible by construction: each sample index derives its own
-generator from the master seed, so the stream a sample sees is independent
-of batching, ordering, or the number of worker processes.  numpy is imported
-once per chunk of draws, and the process pool only when it is used, so sweeps
-and bisections load neither.
+generator from the master seed, keyed by (seed, index) as numpy's
+SeedSequence would key it, so the stream a sample sees is independent of
+batching, ordering, or the number of worker processes; a chunk hashes the
+keys of a block of draws together.  numpy is imported once per chunk of
+draws, and the process pool only when it is used, so sweeps and bisections
+load neither.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from fractions import Fraction
@@ -154,24 +157,105 @@ class SampleSummary(NamedTuple):
     seed: int
 
 
-def _sample_chunk(args) -> List[SampleRow]:
-    """Draws start..stop-1; the worst value is searched for only when ``worst`` is set.
+#: numpy's SeedSequence hash constants (pool size 4, ``bit_generator.pyx``).
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R, _M32 = 0xCA01F9DD, 0x4973F715, 0xFFFFFFFF
+#: Draws whose seed states are hashed together; block edges are its multiples.
+_BLOCK = 1024
 
-    Each draw is uniform on the open simplex (normalized unit exponentials),
-    from a generator keyed by (seed, index) alone, never by batch layout.
+
+def _words(n: int) -> List[int]:
+    """The 32-bit little-endian words SeedSequence splits a nonnegative int into."""
+    return [n >> s & _M32 for s in range(0, max(n.bit_length(), 1), 32)]
+
+
+def _hashmix(value, h: int, mult: int = _MULT_A):
+    """Hash ``value`` (an int or a uint32 array) with ``h``; return it and the next ``h``."""
+    h2 = h * mult & _M32
+    value = (value ^ h) * h2 & _M32
+    return value ^ value >> 16, h2
+
+
+def _absorb(pool: List, h: int, words, skip: Optional[int] = None) -> Tuple[List, int]:
+    """Mix each word into every pool word but ``skip``; return the pool and the next ``h``."""
+    pool = list(pool)
+    for w in words:
+        for dst in range(4):
+            if dst != skip:
+                v, h = _hashmix(w, h)
+                r = (_MIX_L * pool[dst] & _M32) - (_MIX_R * v & _M32) & _M32
+                pool[dst] = r ^ r >> 16
+    return pool, h
+
+
+def _seed_states(seed: int, start: int, stop: int):
+    """Yield ``SeedSequence(entropy=seed, spawn_key=(i,)).generate_state(4, np.uint64)``
+    for i in start..stop-1, hashing one block of indices at a time as uint32 arrays.
+
+    The seed's words, zero-padded to four, come first, so the pool they give
+    is mixed once, in Python ints.  A block never crosses a multiple of 2^32:
+    only the lowest word of its indices varies.
     """
     import numpy as np
 
-    seed, k, start, stop, worst = args
-    rows = []
-    for index in range(start, stop):
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
-        e = rng.standard_exponential(k + 1)
+    entropy = _words(seed)
+    entropy += [0] * (4 - len(entropy))
+    h, pool = _INIT_A, []
+    for w in entropy[:4]:
+        v, h = _hashmix(w, h)
+        pool.append(v)
+    for src in range(4):
+        pool, h = _absorb(pool, h, pool[src:src + 1], skip=src)
+    pool, h = _absorb(pool, h, entropy[4:])
+    while start < stop:
+        end = min(stop, (start // _BLOCK + 1) * _BLOCK)
+        low = np.arange(end - start, dtype=np.uint32) + (start & _M32)
+        block, _ = _absorb(pool, h, [low] + _words(start)[1:])
+        out, hb = np.empty((end - start, 8), dtype="<u4"), _INIT_B
+        for i in range(8):
+            out[:, i], hb = _hashmix(block[i % 4], hb, _MULT_B)
+        yield from out.view("<u8").astype(np.uint64, copy=False)
+        start = end
+
+
+@functools.cache
+def _state_seed():
+    """A SeedSequence stand-in that hands a generator its precomputed state row."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    class StateSeed(ISeedSequence):
+        def __init__(self, state):
+            self.state = state
+
+        def generate_state(self, n_words, dtype=None):
+            return self.state
+
+    return StateSeed
+
+
+def _sample_chunk(args) -> Tuple[int, List[SampleRow]]:
+    """Draws start..stop-1: how many are embeddable, and their rows when ``keep_rows``
+    is set (only then is each draw's worst value searched for).
+
+    Each draw is uniform on the open simplex (normalized unit exponentials),
+    from a generator keyed by (seed, index) alone, never by batch layout: the
+    PCG64 that ``SeedSequence(entropy=seed, spawn_key=(index,))`` would seed,
+    with the chunk's keys hashed together by ``_seed_states``.
+    """
+    import numpy as np
+
+    seed, k, start, stop, keep_rows = args
+    generator, pcg64, state_seed = np.random.Generator, np.random.PCG64, _state_seed()
+    embeddable, rows = 0, []
+    for index, state in zip(range(start, stop), _seed_states(seed, start, stop)):
+        e = generator(pcg64(state_seed(state))).standard_exponential(k + 1)
         weights = tuple(float(v) for v in e / e.sum())
         report = is_flat(Measure(weights=weights, mode=FLOAT, normalized=True))
-        rows.append(SampleRow(index=index, weights=weights, verdict=report.letter,
-                              worst_value=float(report.worst[1]) if worst else None))
-    return rows
+        embeddable += report.letter == "E"
+        if keep_rows:
+            rows.append(SampleRow(index=index, weights=weights, verdict=report.letter,
+                                  worst_value=float(report.worst[1])))
+    return embeddable, rows
 
 
 def _wilson_interval(frac: float, count: int) -> Tuple[float, float]:
@@ -187,8 +271,10 @@ def sample_simplex(k: int, count: int, seed: int = 0, jobs: int = 1,
     """Classify ``count`` uniform draws from the k-simplex.
 
     Returns a SampleSummary, or (summary, rows) with ``keep_rows``; only then
-    is each draw's worst subset searched for.  Results are bit-identical for
-    a given seed regardless of ``jobs``, which is capped at the core count.
+    are rows kept and each draw's worst subset searched for, so a summary
+    holds no more than one block of seed states per chunk.  Results are
+    bit-identical for a given seed regardless of ``jobs``, which is capped at
+    the core count.
     """
     if k < 3:
         raise ValueError(f"sampling needs k >= 3 (four atoms), got k={k}")
@@ -202,7 +288,7 @@ def sample_simplex(k: int, count: int, seed: int = 0, jobs: int = 1,
     jobs = min(jobs, os.cpu_count() or 1)
 
     if jobs == 1 or count < 4 * jobs:
-        rows = _sample_chunk((seed, k, 0, count, keep_rows))
+        results = [_sample_chunk((seed, k, 0, count, keep_rows))]
     else:
         import numpy as np
         from concurrent.futures import ProcessPoolExecutor
@@ -211,9 +297,10 @@ def sample_simplex(k: int, count: int, seed: int = 0, jobs: int = 1,
         chunks = [(seed, k, int(a), int(b), keep_rows)
                   for a, b in zip(bounds[:-1], bounds[1:])]
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = [row for chunk in pool.map(_sample_chunk, chunks) for row in chunk]
+            results = list(pool.map(_sample_chunk, chunks))
 
-    emb = sum(1 for r in rows if r.verdict == "E")
+    emb = sum(e for e, _ in results)
+    rows = [row for _, chunk in results for row in chunk]
     frac = emb / count
     half_width = _Z95 * math.sqrt(frac * (1.0 - frac) / count)
     low, high = _wilson_interval(frac, count)

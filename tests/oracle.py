@@ -17,16 +17,20 @@ algebra, brute-force matrix algebra, and the reciprocal-space cone.
 * ``family_by_products`` realizes a built-in family member as products of
   Fractions through ``validate_measure``: the reference for the package's
   integer construction.
+* ``sample_rows`` seeds every draw of ``sample`` from its own numpy
+  ``SeedSequence``: the reference for the package's batched seed states.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Sequence, Tuple
+from typing import Iterable, List, Sequence, Tuple
 
 import numpy as np
 
+from atomembed.explorer import SampleRow
+from atomembed.flatness import is_flat
 from atomembed.gram import GramError, GramMatrix, _as_rows, det_numeric
 from atomembed.families import FamilySpec
 from atomembed.measure import DistanceMatrix, Measure, MeasureError, validate_measure
@@ -312,3 +316,18 @@ def family_by_products(spec: FamilySpec) -> Measure:
     total = math.comb(pop, draws)
     return validate_measure([Fraction(math.comb(succ, a) * math.comb(pop - succ, draws - a), total)
                              for a in range(draws + 1)])
+
+
+# -- Monte Carlo sampling -------------------------------------------------------
+
+def sample_rows(k: int, count: int, seed: int) -> List[SampleRow]:
+    """The rows of ``sample_simplex(k, count, seed, keep_rows=True)``, with
+    one ``SeedSequence(entropy=seed, spawn_key=(index,))`` built per draw."""
+    rows = []
+    for index in range(count):
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
+        e = rng.standard_exponential(k + 1)
+        weights = tuple(float(v) for v in e / e.sum())
+        report = is_flat(Measure(weights=weights, mode=FLOAT, normalized=True))
+        rows.append(SampleRow(index, weights, report.letter, float(report.worst[1])))
+    return rows

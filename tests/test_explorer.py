@@ -1,7 +1,10 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+import oracle
 from atomembed import (
     NoCrossingError,
     bisect_boundary,
@@ -16,6 +19,7 @@ from atomembed import (
     uniform_family,
     validate_measure,
 )
+from atomembed.explorer import _seed_states
 
 HALF = Fraction(1, 2)
 
@@ -234,6 +238,31 @@ class TestSampleSimplex:
                 for s in _all_subsets(m.size)
             ]
             assert row.worst_value == pytest.approx(min(values), rel=1e-12)
+
+
+class TestSeedStates:
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 5, 2**130 + 77, 2**200 - 1])
+    @pytest.mark.parametrize("start, stop", [
+        (0, 1100),                   # from 0 across the first block edge
+        (2**32 - 600, 2**32 + 600),  # the index gains a word inside the range
+        (2**64 - 3, 2**64 + 3),      # and its third word at 2^64
+        (5 * 2**32 - 2, 5 * 2**32 + 2),  # its second word changes at a block edge
+    ])
+    def test_rows_equal_numpy_seed_sequence(self, seed, start, stop):
+        got = np.array(list(_seed_states(seed, start, stop)))
+        want = np.array([np.random.SeedSequence(entropy=seed, spawn_key=(i,)).generate_state(4, np.uint64)
+                         for i in range(start, stop)])
+        assert got.dtype == want.dtype == np.uint64
+        assert np.array_equal(got, want)
+
+
+@settings(max_examples=15, deadline=None)
+@given(k=st.integers(3, 9), count=st.integers(1, 2100), jobs=st.sampled_from([1, 2]),
+       seed=st.one_of(st.integers(0, 2**70), st.just(2**130 + 77)))
+@example(k=9, count=2100, jobs=2, seed=2**130 + 77)
+def test_sample_rows_equal_one_seed_sequence_per_draw(k, count, jobs, seed):
+    _, rows = sample_simplex(k, count, seed=seed, jobs=jobs, keep_rows=True)
+    assert rows == oracle.sample_rows(k, count, seed)
 
 
 def _all_subsets(size):
