@@ -479,6 +479,8 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"atomembed: invalid input: {exc}", file=sys.stderr)
         return 1
+    except BrokenPipeError:
+        raise  # stdout was closed: entrypoint ends quietly
     except OSError as exc:
         detail = f"{exc.filename}: {exc.strerror}" if exc.filename else exc
         print(f"atomembed: error: {detail}", file=sys.stderr)
@@ -486,7 +488,14 @@ def main(argv=None) -> int:
 
 
 def entrypoint() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # Python docs, "Note on SIGPIPE": the exit flush must not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -52,7 +52,7 @@ from typing import Callable, Dict, Iterator, NamedTuple, Optional, Sequence, Tup
 
 from .gram import criterion_sign, criterion_value, exact_criterion_sign
 from .measure import AtomSubset, Measure, validate_measure
-from .scalars import FLOAT, Scalar, over_common_denominator
+from .scalars import FLOAT, Scalar
 
 
 class Classification(NamedTuple):
@@ -71,7 +71,8 @@ class _Values(dict):
     """Criterion values by atom subset; looking up a new subset evaluates it.
 
     Exact reciprocals are scaled once, over the whole measure, to the
-    integers Z = z·den with den the least common denominator.  Each subset
+    integers Z = z·den with den the least common denominator: for weights
+    p/q in lowest terms, den = lcm(p) and Z = q·(den // p).  Each subset
     is then signed on integers: the criterion is homogeneous of degree 2, so
     its integer value is den² times the exact one, with the same sign, and
     the value kept is Fraction(value, den²).  Float reciprocals are used as
@@ -81,11 +82,12 @@ class _Values(dict):
 
     def __init__(self, m: Measure):
         super().__init__()
-        self.weights, zs = m.weights, m.reciprocals()
+        self.weights = m.weights
         if m.mode == FLOAT:
-            self.terms, self.den2 = zs, None
+            self.terms, self.den2 = m.reciprocals(), None
         else:
-            self.terms, den = over_common_denominator(zs)
+            den = math.lcm(*(w.numerator for w in m.weights))
+            self.terms = tuple(w.denominator * (den // w.numerator) for w in m.weights)
             self.den2 = den * den
         self.signs: Dict[AtomSubset, str] = {}
 

@@ -4,6 +4,8 @@ import io
 import json
 import math
 import os
+import subprocess
+import sys
 import tempfile
 from fractions import Fraction
 from unittest import mock
@@ -12,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import atomembed
 from atomembed import (
     atom_metric,
     det_closed_form,
@@ -211,6 +214,20 @@ class TestCheckAndClassify:
         code, out, err = run(capsys, "classify", str(tmp_path))
         assert code == 1 and out == ""
         assert err == f"atomembed: error: {tmp_path}: Is a directory\n"
+
+    def test_closed_stdout_ends_quietly(self, tmp_path):
+        # as in `atomembed check b14.json | head -c 1`: about 0.7 MB of rows
+        # meet a pipe whose reader has gone
+        path = write_measure(tmp_path, "b14.json", [str(math.comb(13, i)) for i in range(14)])
+        env = dict(os.environ)
+        src = os.path.dirname(os.path.dirname(os.path.abspath(atomembed.__file__)))
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        with subprocess.Popen([sys.executable, "-m", "atomembed.cli", "check", path],
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as child:
+            assert child.stdout.read(1) == b"{"
+            child.stdout.close()
+            err = child.stderr.read()
+        assert (child.returncode, err) == (1, b"")
 
 
 class TestNonFiniteValues:

@@ -6,6 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import oracle
 from atomembed import (
+    MeasureError,
     NoCrossingError,
     bisect_boundary,
     binomial_family,
@@ -90,6 +91,56 @@ class TestMixture:
     def test_size_mismatch(self):
         with pytest.raises(ValueError, match="atoms"):
             mixture(realize(uniform_family(4)), realize(uniform_family(5)), HALF)
+
+    def test_unnormalized_ends_can_mix_to_a_normalized_measure(self):
+        m0 = validate_measure([Fraction(1, 8)] * 4)
+        m1 = validate_measure([Fraction(3, 8)] * 4)
+        mid = mixture(m0, m1, HALF)
+        assert not m0.normalized and not m1.normalized and mid.normalized
+        assert mid == validate_measure(list(mid.weights))
+
+    @pytest.mark.parametrize("t", [Fraction(2), Fraction(5, 3), Fraction(-5)])
+    def test_t_outside_the_unit_interval_is_validated(self, t):
+        # t = 5/3 and t = -5 each drive one weight to exactly 0, t = 2 one below 0
+        m0 = validate_measure(["1/4"] * 4)
+        m1 = validate_measure(["1/10", "3/10", "3/10", "3/10"])
+        with pytest.raises(MeasureError, match="non-positive weight"):
+            mixture(m0, m1, t)
+        assert mixture(m0, m1, Fraction(-1)) == validate_measure(
+            [2 * a - b for a, b in zip(m0.weights, m1.weights)])
+
+
+exact_weights = st.one_of(
+    st.integers(1, 2 ** 70),
+    st.builds(Fraction, st.integers(1, 2 ** 70), st.integers(1, 2 ** 70)),
+)
+unit_interval = st.one_of(
+    st.sampled_from([Fraction(0), Fraction(1)]),
+    st.integers(1, 80).flatmap(
+        lambda e: st.integers(0, 2 ** (e - 1) - 1).map(lambda j: Fraction(2 * j + 1, 2 ** e))),
+    st.builds(lambda a, b: Fraction(min(a, b), max(a, b)),
+              st.integers(0, 2 ** 70), st.integers(1, 2 ** 70)),
+)
+
+
+@st.composite
+def exact_endpoints(draw):
+    size = draw(st.integers(4, 8))
+    return tuple(validate_measure(draw(st.lists(exact_weights, min_size=size, max_size=size)),
+                                  normalize=draw(st.booleans()))
+                 for _ in range(2))
+
+
+@settings(max_examples=200, deadline=None)
+@given(exact_endpoints(), unit_interval)
+def test_exact_mixture_is_the_validated_measure(ends, t):
+    # exact combinations skip validate_measure: weights, mode and the
+    # normalized flag must be what it would give
+    m0, m1 = ends
+    mixed = mixture(m0, m1, t)
+    assert mixed == validate_measure([(1 - t) * a + t * b
+                                      for a, b in zip(m0.weights, m1.weights)])
+    assert all(type(w) is Fraction for w in mixed.weights)
 
 
 class TestBisection:

@@ -22,6 +22,8 @@ from atomembed import (
     uniform_family,
     validate_measure,
 )
+from atomembed.flatness import _Values
+from atomembed.scalars import over_common_denominator
 from conftest import float_tuple, rational_tuple, zero_criterion_weights
 from oracle import (
     complement,
@@ -231,6 +233,7 @@ class TestCone:
 
 rationals = st.builds(Fraction, st.integers(1, 40), st.integers(1, 40))
 near_uniform = st.builds(Fraction, st.integers(90, 110), st.just(100))
+wide_rationals = st.builds(Fraction, st.integers(1, 2 ** 70), st.integers(1, 2 ** 70))
 
 
 @settings(max_examples=80, deadline=None)
@@ -238,6 +241,7 @@ near_uniform = st.builds(Fraction, st.integers(90, 110), st.just(100))
     st.lists(rationals, min_size=4, max_size=10),
     st.lists(near_uniform, min_size=4, max_size=10),
     st.builds(zero_criterion_weights, rationals, rationals, rationals),
+    st.lists(wide_rationals, min_size=4, max_size=10),
 ))
 def test_verdicts_carry_certificates_from_the_paper_metric(weights):
     # the criterion is not consulted: an N witness must span a simplex of
@@ -254,6 +258,18 @@ def test_verdicts_carry_certificates_from_the_paper_metric(weights):
         result = embed(m)
         assert result.dimension == cls.dimension
         assert result.max_residual <= 1e-12
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(wide_rationals, rationals, st.integers(1, 2 ** 70)),
+                min_size=2, max_size=12))
+def test_exact_terms_are_the_reciprocals_over_their_common_denominator(weights):
+    # the integers come from the weights' numerators and denominators; they
+    # must be those of the reciprocals as Fractions
+    m = validate_measure(weights)
+    values = _Values(m)
+    terms, den = over_common_denominator(m.reciprocals())
+    assert (values.terms, values.den2) == (terms, den * den)
 
 
 class TestPowersetNeverFlat:
