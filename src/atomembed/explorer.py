@@ -21,7 +21,7 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .flatness import is_flat
 from .measure import Measure, MeasureError, validate_measure
-from .scalars import EXACT, FLOAT, Scalar
+from .scalars import FLOAT, Scalar
 
 #: Normal quantile for the 95% binomial-proportion confidence interval.
 _Z95 = 1.959963984540054
@@ -78,18 +78,11 @@ class BisectionResult(NamedTuple):
 
 
 def mixture(m0: Measure, m1: Measure, t: Scalar) -> Measure:
-    """Convex combination (1-t) m0 + t m1, exact when everything is rational.
-
-    An exact combination with 0 <= t <= 1 is positive because its endpoints
-    are, so it is not validated again.
-    """
+    """Convex combination (1-t) m0 + t m1, exact when everything is rational."""
     if m0.size != m1.size:
         raise MeasureError(
             f"mixture endpoints have {m0.size} and {m1.size} atoms")
-    weights = tuple((1 - t) * a + t * b for a, b in zip(m0.weights, m1.weights))
-    if m0.mode == m1.mode == EXACT and isinstance(t, Fraction) and 0 <= t <= 1:
-        normalized = m0.normalized and m1.normalized or sum(weights) == 1
-        return Measure(weights, EXACT, normalized)
+    weights = [(1 - t) * a + t * b for a, b in zip(m0.weights, m1.weights)]
     return validate_measure(weights)
 
 

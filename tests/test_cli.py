@@ -226,7 +226,11 @@ class TestCheckAndClassify:
                               stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as child:
             assert child.stdout.read(1) == b"{"
             child.stdout.close()
-            err = child.stderr.read()
+            try:
+                _, err = child.communicate(timeout=60)
+            except subprocess.TimeoutExpired:
+                child.kill()
+                pytest.fail("atomembed check did not end after its stdout was closed")
         assert (child.returncode, err) == (1, b"")
 
 

@@ -134,8 +134,8 @@ def exact_endpoints(draw):
 @settings(max_examples=200, deadline=None)
 @given(exact_endpoints(), unit_interval)
 def test_exact_mixture_is_the_validated_measure(ends, t):
-    # exact combinations skip validate_measure: weights, mode and the
-    # normalized flag must be what it would give
+    # whatever route an exact combination takes, its weights, mode and
+    # normalized flag must be what validate_measure gives
     m0, m1 = ends
     mixed = mixture(m0, m1, t)
     assert mixed == validate_measure([(1 - t) * a + t * b
